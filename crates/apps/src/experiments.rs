@@ -809,7 +809,7 @@ pub fn trigger_job_traced(
 const SUPERVISE_SLICE_CYCLES: u64 = 1_000_000;
 
 /// Like [`trigger_job_traced`], but cooperative with the supervised
-/// runner: the emulation advances in [`SUPERVISE_SLICE_CYCLES`] slices and
+/// runner: the emulation advances in `SUPERVISE_SLICE_CYCLES` slices and
 /// checks the [`RunContext`] between slices, so a watchdog cancellation
 /// stops a runaway run mid-flight and an optional cycle budget caps how
 /// long the run may emulate. Slicing does not change the machine state —

@@ -1,7 +1,7 @@
 //! Causal-chain reconstruction: intersecting the static backward slice
 //! of a symptom site with the dynamic execution of one symptom interval.
 //!
-//! Localization ([`crate::localize`]) ranks instructions by how far their
+//! Localization ([`crate::localize()`]) ranks instructions by how far their
 //! counts deviate; this module explains *how* the deviation happened. It
 //! takes the flagged event-handling interval, attributes every
 //! instruction executed inside it to the lifecycle context that ran it

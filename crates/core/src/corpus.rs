@@ -3,7 +3,7 @@
 //! A campaign run with `--store` leaves behind a [`TraceStore`]: one
 //! directory per seed holding the run's encoded lifecycle traces plus a
 //! manifest. [`mine_store`] sweeps that corpus the same way
-//! [`run_campaign`](crate::campaign::run_campaign) sweeps seeds — fanned
+//! [`run_campaign`] sweeps seeds — fanned
 //! over a worker pool, aggregated sorted by seed — except each "run" is
 //! a decode instead of an emulation. Detectors can thus be re-tuned and
 //! rankings re-produced at a fraction of the original cost, and (because

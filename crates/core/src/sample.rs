@@ -213,7 +213,7 @@ impl SampleSet {
 ///
 /// Propagates [`ExtractError`] for ill-formed traces, including
 /// structurally broken count segments
-/// ([`ExtractError::Malformed`](sentomist_trace::ExtractError::Malformed)).
+/// ([`ExtractError::Malformed`]).
 pub fn harvest_set(
     trace: &Trace,
     irq: u8,

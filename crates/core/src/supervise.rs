@@ -471,12 +471,13 @@ where
     let mut outcomes = Vec::new();
     let mut errors = Vec::new();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let tx = tx.clone();
             let next = &next;
             let completed = &completed;
             let job = &job;
-            scope.spawn(move || loop {
+            workers.push(scope.spawn(move || loop {
                 if let Some(limit) = options.stop_after {
                     if completed.load(Ordering::SeqCst) >= limit {
                         break;
@@ -489,7 +490,7 @@ where
                 if tx.send(report).is_err() {
                     break;
                 }
-            });
+            }));
         }
         drop(tx);
         // Collect on the calling thread while workers run, so
@@ -500,6 +501,15 @@ where
                 (Some(outcome), _) => outcomes.push((report.seed, outcome)),
                 (None, Some(error)) => errors.push(error),
                 (None, None) => {}
+            }
+        }
+        // The scope waits only for the workers' closures to return, not
+        // for their threads to exit. Joining lets each thread hand its
+        // allocator arena back first, so the next pool reuses the arenas
+        // instead of racing the exiting threads and creating new ones.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
             }
         }
     });

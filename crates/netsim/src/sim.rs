@@ -10,6 +10,7 @@
 use crate::topology::{Topology, TopologyError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -261,57 +262,62 @@ impl NetSim {
                 sinks: sinks.len(),
             });
         }
-        loop {
-            // Pick the laggard among nodes still below `until` and not
-            // halted.
-            let mut laggard: Option<(usize, u64)> = None;
-            let mut second = until;
-            for (i, n) in self.nodes.iter().enumerate() {
-                if n.halted() || n.cycle() >= until {
-                    continue;
-                }
-                match laggard {
-                    None => laggard = Some((i, n.cycle())),
-                    Some((_, c)) if n.cycle() < c => {
-                        second = c;
-                        laggard = Some((i, n.cycle()));
-                    }
-                    Some(_) => second = second.min(n.cycle()),
-                }
-            }
-            let Some((idx, _)) = laggard else { break };
-            let cap = second.saturating_add(self.lookahead).min(until);
-            let node_id = idx as u16;
-            if let Err(error) = self.nodes[idx].advance(cap, &mut sinks[idx]) {
-                return Err(SimError::NodeFault {
-                    node: node_id,
-                    error,
-                });
-            }
-            self.route_outbox(idx);
+        let mut sched = Lockstep::new(&self.nodes, until, self.lookahead);
+        let result = self.drive(&mut sched, sinks);
+        for (idx, node) in self.nodes.iter_mut().enumerate() {
+            sched.sync(idx, node);
         }
+        result?;
         for (node, sink) in self.nodes.iter_mut().zip(sinks.iter_mut()) {
             node.finish(sink);
         }
         Ok(())
     }
 
+    /// The scheduler loop: parked steps only move a clock; every other
+    /// step advances the laggard node and routes what it transmitted.
+    fn drive<S: TraceSink>(
+        &mut self,
+        sched: &mut Lockstep,
+        sinks: &mut [S],
+    ) -> Result<(), SimError> {
+        while let Some(step) = sched.next_step() {
+            if sched.parked_through(step.idx, step.cap) {
+                sched.clock[step.idx] = step.cap;
+                if step.all_parked {
+                    sched.leap();
+                }
+                continue;
+            }
+            let node = &mut self.nodes[step.idx];
+            sched.sync(step.idx, node);
+            let advanced = node.advance(step.cap, &mut sinks[step.idx]);
+            sched.refresh(step.idx, node);
+            if let Err(error) = advanced {
+                return Err(SimError::NodeFault {
+                    node: step.idx as u16,
+                    error,
+                });
+            }
+            self.route_outbox(step.idx, sched);
+        }
+        Ok(())
+    }
+
     /// Routes packets transmitted by node `idx` to their receivers.
-    fn route_outbox(&mut self, idx: usize) {
+    fn route_outbox(&mut self, idx: usize, sched: &mut Lockstep) {
         let src = idx as u16;
-        let outgoing = self.nodes[idx].drain_outbox();
-        for out in outgoing {
+        for mut out in self.nodes[idx].drain_outbox() {
             let end_of_air = out.sent_at + out.duration;
-            let receivers: Vec<(u16, u64, f64)> = self
+            let dest = out.packet.dest;
+            let mut receivers = self
                 .topology
                 .neighbors(src)
-                .filter(|(to, _)| {
-                    out.packet.dest == tinyvm::isa::port::BROADCAST || out.packet.dest == *to
-                })
-                .map(|(to, link)| (to, end_of_air + link.latency_cycles, link.loss_prob))
-                .collect();
-            for (to, at_cycle, loss_prob) in receivers {
-                let dropped = loss_prob > 0.0 && self.loss_rng.gen::<f64>() < loss_prob;
+                .filter(|&(to, _)| dest == tinyvm::isa::port::BROADCAST || dest == to)
+                .peekable();
+            while let Some((to, link)) = receivers.next() {
+                let at_cycle = end_of_air + link.latency_cycles;
+                let dropped = link.loss_prob > 0.0 && self.loss_rng.gen::<f64>() < link.loss_prob;
                 self.deliveries.push(Delivery {
                     src,
                     to,
@@ -319,22 +325,179 @@ impl NetSim {
                     dropped,
                     payload: out.packet.payload.clone(),
                 });
-                if !dropped {
-                    debug_assert!(
-                        at_cycle + LOOKAHEAD_SLACK >= self.nodes[to as usize].cycle(),
-                        "causality: delivery at {at_cycle} behind receiver {}",
-                        self.nodes[to as usize].cycle()
-                    );
-                    self.nodes[to as usize].inject_rx(
-                        at_cycle,
-                        Packet {
-                            src,
-                            dest: out.packet.dest,
-                            payload: out.packet.payload.clone(),
-                        },
-                    );
+                if dropped {
+                    continue;
+                }
+                let receiver = &mut self.nodes[to as usize];
+                sched.sync(to as usize, receiver);
+                debug_assert!(
+                    at_cycle + LOOKAHEAD_SLACK >= receiver.cycle(),
+                    "causality: delivery at {at_cycle} behind receiver {}",
+                    receiver.cycle()
+                );
+                let payload = if receivers.peek().is_some() {
+                    out.packet.payload.clone()
+                } else {
+                    std::mem::take(&mut out.packet.payload)
+                };
+                receiver.inject_rx(at_cycle, Packet { src, dest, payload });
+                sched.refresh(to as usize, receiver);
+            }
+        }
+    }
+}
+
+/// One scheduler step: the laggard node and the cycle it may advance to.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    idx: usize,
+    cap: u64,
+    /// Whether every node still running is parked.
+    all_parked: bool,
+}
+
+/// The conservative scheduler's state: one clock per node, and what it
+/// knows of each node without touching it.
+///
+/// A parked node's clock runs ahead of [`Node::cycle`] while the scheduler
+/// moves it in parked steps; [`Lockstep::sync`] writes it back before the
+/// node is advanced, receives a packet, or the run ends.
+#[derive(Debug)]
+struct Lockstep {
+    until: u64,
+    lookahead: u64,
+    clock: Vec<u64>,
+    /// The wake cycle of a parked node (see [`Node::parked_until`]).
+    wake: Vec<Option<u64>>,
+    halted: Vec<bool>,
+    /// Scratch for [`Lockstep::leap`]: live node indices, the relative
+    /// clock configuration after each step (flattened), and the first step
+    /// at which each configuration hash was seen, with the smallest clock
+    /// at that step.
+    live: Vec<usize>,
+    configs: Vec<u64>,
+    seen: HashMap<u64, (usize, u64)>,
+}
+
+impl Lockstep {
+    fn new(nodes: &[Node], until: u64, lookahead: u64) -> Lockstep {
+        Lockstep {
+            until,
+            lookahead,
+            clock: nodes.iter().map(Node::cycle).collect(),
+            wake: nodes.iter().map(Node::parked_until).collect(),
+            halted: nodes.iter().map(Node::halted).collect(),
+            live: Vec::new(),
+            configs: Vec::new(),
+            seen: HashMap::new(),
+        }
+    }
+
+    /// The laggard among nodes still below `until` and not halted (ties go
+    /// to the lowest index), and its cap: the second-smallest clock plus
+    /// the lookahead, at most `until`.
+    fn next_step(&self) -> Option<Step> {
+        let mut laggard: Option<(usize, u64)> = None;
+        let mut second = self.until;
+        let mut all_parked = true;
+        for (i, &c) in self.clock.iter().enumerate() {
+            if self.halted[i] || c >= self.until {
+                continue;
+            }
+            all_parked &= self.wake[i].is_some();
+            match laggard {
+                None => laggard = Some((i, c)),
+                Some((_, l)) if c < l => {
+                    second = l;
+                    laggard = Some((i, c));
+                }
+                Some(_) => second = second.min(c),
+            }
+        }
+        let (idx, _) = laggard?;
+        Some(Step {
+            idx,
+            cap: second.saturating_add(self.lookahead).min(self.until),
+            all_parked,
+        })
+    }
+
+    /// Whether advancing node `idx` to `cap` would only move its clock.
+    fn parked_through(&self, idx: usize, cap: u64) -> bool {
+        self.wake[idx].is_some_and(|wake| wake >= cap)
+    }
+
+    /// Writes the scheduler's clock for node `idx` back into the node.
+    fn sync(&self, idx: usize, node: &mut Node) {
+        if node.cycle() != self.clock[idx] {
+            node.skip_to(self.clock[idx]);
+        }
+    }
+
+    /// Re-reads node `idx` after it advanced or received a packet.
+    fn refresh(&mut self, idx: usize, node: &Node) {
+        self.clock[idx] = node.cycle();
+        self.wake[idx] = node.parked_until();
+        self.halted[idx] = node.halted();
+    }
+
+    /// Jumps over whole periods of parked steps. Call only when every node
+    /// still running is parked.
+    ///
+    /// Then the scheduler's state is just its clocks, and the steps depend
+    /// only on their relative configuration: shifting every clock by the
+    /// same amount shifts every later cap by it too, until some cap would
+    /// pass a node's wake cycle or reach `until`. So the configuration
+    /// recurs with a fixed period. This simulates parked steps until it
+    /// sees a configuration recur (applying each one), then moves every
+    /// clock forward by as many whole periods as fit below every node's
+    /// wake cycle and `until`. It stops early, leaving the step to the
+    /// caller, at the first step that would bind.
+    fn leap(&mut self) {
+        self.live.clear();
+        self.live.extend(
+            (0..self.clock.len()).filter(|&i| !self.halted[i] && self.clock[i] < self.until),
+        );
+        let m = self.live.len();
+        self.configs.clear();
+        self.seen.clear();
+        for step in 0..=4 * m * m {
+            let base = self.live.iter().map(|&i| self.clock[i]).min().unwrap_or(0);
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for &i in &self.live {
+                let rel = self.clock[i] - base;
+                self.configs.push(rel);
+                hash = (hash ^ rel).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            let current = step * m..(step + 1) * m;
+            match self.seen.get(&hash) {
+                Some(&(first, first_base))
+                    if self.configs[first * m..(first + 1) * m] == self.configs[current] =>
+                {
+                    let shift = base - first_base;
+                    let periods = self
+                        .live
+                        .iter()
+                        .map(|&i| {
+                            let bound = self.wake[i].expect("parked").min(self.until - 1);
+                            (bound - self.clock[i]) / shift
+                        })
+                        .min()
+                        .unwrap_or(0);
+                    for &i in &self.live {
+                        self.clock[i] += periods * shift;
+                    }
+                    return;
+                }
+                _ => {
+                    self.seen.insert(hash, (step, base));
                 }
             }
+            let Some(next) = self.next_step() else { return };
+            if next.cap >= self.until || !self.parked_through(next.idx, next.cap) {
+                return;
+            }
+            self.clock[next.idx] = next.cap;
         }
     }
 }

@@ -120,12 +120,48 @@ impl Node {
         self.devices.inject_rx(at_cycle, packet);
     }
 
-    /// The earliest cycle at which the node has work, if it is currently
-    /// unable to execute instructions (idle or sleeping): the next device
-    /// event. Returns `None` when the node is runnable right now or
-    /// permanently out of work.
-    pub fn next_wake_cycle(&self) -> Option<u64> {
-        self.devices.next_event_cycle()
+    /// The wake cycle of a node that is parked, or `None` if it has work.
+    ///
+    /// A node is parked when [`Node::advance`] could only move its clock:
+    /// it is not halted, the CPU is not runnable, no interrupt line is
+    /// pending, no task can be dispatched and no device event is due at or
+    /// before the current cycle. For a parked node, `advance(limit)` with
+    /// `limit` at or below the returned wake cycle is exactly
+    /// [`Node::skip_to`]`(limit)`. The wake cycle is the next device event,
+    /// or `u64::MAX` if none is scheduled.
+    pub fn parked_until(&self) -> Option<u64> {
+        let wake = self.devices.next_event_cycle().unwrap_or(u64::MAX);
+        let parked = !self.halted()
+            && !self.cpu.runnable()
+            && !self.devices.has_pending()
+            && !self.can_run_task()
+            && wake > self.cycle;
+        parked.then_some(wake)
+    }
+
+    /// Moves the clock of a parked node forward to `cycle` — the whole
+    /// effect of `advance(cycle)` on a node that is parked until at least
+    /// `cycle` (see [`Node::parked_until`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is not parked until at least `cycle`, or if
+    /// `cycle` lies in the node's past.
+    pub fn skip_to(&mut self, cycle: u64) {
+        assert!(
+            cycle >= self.cycle && self.parked_until().is_some_and(|wake| wake >= cycle),
+            "skip_to({cycle}) on a node at cycle {} that is not parked that long",
+            self.cycle
+        );
+        self.cycle = cycle;
+    }
+
+    /// Whether the scheduler would dispatch a queued task right now.
+    fn can_run_task(&self) -> bool {
+        !self.cpu.is_active()
+            && self.cpu.int_depth() == 0
+            && !self.cpu.sleeping
+            && !self.task_queue.is_empty()
     }
 
     fn current_owner(&self) -> Option<InstanceId> {
@@ -251,11 +287,7 @@ impl Node {
             }
 
             // Not runnable: idle (scheduler context) or sleeping.
-            let can_run_task = !self.cpu.is_active()
-                && self.cpu.int_depth() == 0
-                && !self.cpu.sleeping
-                && !self.task_queue.is_empty();
-            if can_run_task {
+            if self.can_run_task() {
                 let (task, owner) = self.task_queue.pop_front().expect("checked non-empty");
                 self.emit(sink, LifecycleItem::RunTask(task));
                 let entry = self.program.tasks[task.index()].entry;
@@ -662,6 +694,34 @@ h:
         n.advance(5_000, &mut NullSink).unwrap();
         assert_eq!(n.cycle(), 5_000);
         assert!(!n.halted());
+    }
+
+    #[test]
+    fn parked_node_skips_exactly_like_advance() {
+        let mut n = node(TIMER_APP);
+        assert_eq!(n.parked_until(), None, "main is runnable at cycle 0");
+        n.advance(100, &mut NullSink).unwrap();
+        // Main returned; the first timer fire, 4 ticks after main started
+        // the timer, is the wake cycle.
+        let wake = n.parked_until().expect("idle until the timer fires");
+        assert!(wake > 4 * crate::isa::port::TIMER_TICK_CYCLES && wake < 1_100);
+        let mut stepped = n.clone();
+        stepped.advance(wake, &mut NullSink).unwrap();
+        n.skip_to(wake);
+        assert_eq!(n.cycle(), stepped.cycle());
+        // At the wake cycle the fire is due: the node has work again.
+        assert_eq!(n.parked_until(), None);
+        let (mut a, mut b) = (VecSink::default(), VecSink::default());
+        n.run(50_000, &mut a).unwrap();
+        stepped.run(50_000, &mut b).unwrap();
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.segments, b.segments);
+    }
+
+    #[test]
+    #[should_panic(expected = "not parked")]
+    fn skip_to_refuses_a_node_with_work() {
+        node(TIMER_APP).skip_to(10);
     }
 
     #[test]

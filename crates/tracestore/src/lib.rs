@@ -6,7 +6,7 @@
 //! of process-lifetime vectors, so detectors can be re-tuned and
 //! campaigns re-ranked **without paying the emulation cost again**:
 //!
-//! * [`format`] — the versioned `.stc` byte layout: delta + varint
+//! * [`format`](mod@format) — the versioned `.stc` byte layout: delta + varint
 //!   encoded cycle stamps and item payloads, sparse count segments,
 //!   per-chunk checksums, a sealed end chunk with a stream digest;
 //! * [`TraceWriter`] — a streaming [`tinyvm::TraceSink`] that encodes

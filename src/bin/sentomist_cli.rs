@@ -38,8 +38,41 @@ use sentomist::tracestore::{
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::error::Error;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout; every stdout write of the CLI goes through here. A
+/// closed pipe (`sentomist trace mine DIR --json | head`) means the reader
+/// has all it wants, so the process exits quietly with status 0. Any
+/// other write error exits with status 1.
+fn write_stdout(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn usage() -> &'static str {
     "sentomist — transient WSN bug mining (ICDCS 2010 reproduction)
@@ -331,19 +364,20 @@ fn cmd_assemble(args: &[String]) -> Result<(), Box<dyn Error>> {
     let path = pos.first().ok_or("assemble: missing <app.s>")?;
     let src = std::fs::read_to_string(path)?;
     let program = tinyvm::assemble(&src)?;
-    println!(
+    outln!(
         "; {} — {} instructions, {} tasks, {} data words",
         path,
         program.len(),
         program.tasks.len(),
         program.data_size
     );
-    print!("{}", tinyvm::disassemble(&program));
+    out!("{}", tinyvm::disassemble(&program));
     Ok(())
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (pos, flags) = parse_flags(args);
+    reject_unknown_flags("run", &flags, &["cycles", "seed", "trace"])?;
     let path = pos.first().ok_or("run: missing <app.s>")?;
     let cycles = flag_u64(&flags, "cycles", 10_000_000)?;
     let seed = flag_u64(&flags, "seed", 42)?;
@@ -363,7 +397,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let mut recorder = Recorder::new(program.len());
     node.run(cycles, &mut recorder)?;
     let trace = recorder.into_trace();
-    println!(
+    outln!(
         "ran {} cycles: {} instructions, {} lifecycle events, {} UART words",
         node.cycle(),
         node.instructions_retired(),
@@ -371,12 +405,26 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
         node.uart().len()
     );
     std::fs::write(&out, serde_json::to_string(&trace)?)?;
-    println!("trace written to {out}");
+    outln!("trace written to {out}");
     Ok(())
 }
 
 fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (pos, flags) = parse_flags(args);
+    reject_unknown_flags(
+        "mine",
+        &flags,
+        &[
+            "irq",
+            "top",
+            "detector",
+            "nu",
+            "csv",
+            "corroborate",
+            "min-z",
+            "causal",
+        ],
+    )?;
     let path = pos.first().ok_or("mine: missing <trace.json>")?;
     let irq = flag_u64(&flags, "irq", 0)? as u8;
     let top = flag_u64(&flags, "top", 10)? as usize;
@@ -385,7 +433,7 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
     if samples.is_empty() {
         return Err(format!("no event-handling intervals for irq {irq}").into());
     }
-    println!(
+    outln!(
         "{} intervals of {} ({}), ranking with {}:",
         samples.len(),
         irq,
@@ -395,10 +443,10 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
     let corroborate_app = flags.get("corroborate").filter(|s| !s.is_empty());
     let pipeline = Pipeline::new(detector_from(&flags)?);
     let report = pipeline.rank_set(samples.clone())?;
-    print!("{}", report.table(top, 2));
+    out!("{}", report.table(top, 2));
     if let Some(csv_path) = flags.get("csv") {
         std::fs::write(csv_path, report.to_csv())?;
-        println!("full ranking written to {csv_path}");
+        outln!("full ranking written to {csv_path}");
     }
     let Some(app_path) = corroborate_app else {
         if flags.contains_key("causal") {
@@ -438,7 +486,7 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         None
     };
     let fused = corroborate_with_chain(&hits, &lint, chain.as_ref());
-    println!(
+    outln!(
         "\ncorroborating interval {} (score {:.4}) against {} static warning(s):",
         target.index,
         target.score,
@@ -457,7 +505,7 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         if c.in_causal_chain {
             tag.push_str("+chain");
         }
-        println!(
+        outln!(
             "  pc {:>4}  z {:>7.2}  {} (line {})  [{}]",
             c.hit.pc,
             c.hit.z_score,
@@ -467,10 +515,10 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         );
     }
     if flags.contains_key("causal") {
-        println!();
+        outln!();
         match &chain {
             Some(c) => print_chain(c),
-            None => println!(
+            None => outln!(
                 "no causal chain: no warning-anchored cross-context edge \
                  carried state into this interval"
             ),
@@ -482,14 +530,14 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// Renders a reconstructed causal chain: cross-context hops in dynamic
 /// order, each with full site evidence.
 fn print_chain(chain: &CausalChain) {
-    println!(
+    outln!(
         "causal chain: {} hop(s), {} executed sliced instruction(s), seeds {:?}",
         chain.hops.len(),
         chain.sliced_executed.len(),
         chain.seeds
     );
     for h in &chain.hops {
-        println!(
+        outln!(
             "  seg {:>3}: [{}] pc {:>4} {} (line {})  --{}-->  [{}] pc {:>4} {} (line {})",
             h.first_read_segment,
             h.write.context,
@@ -520,9 +568,9 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
     };
     let report = sentomist::staticlint::lint(&program);
     if json {
-        println!("{}", serde_json::to_string_pretty(&report)?);
+        outln!("{}", serde_json::to_string_pretty(&report)?);
     } else {
-        print!("{}", report.table());
+        out!("{}", report.table());
     }
     Ok(())
 }
@@ -531,15 +579,18 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// serialized document itself.
 fn print_slice_report(report: &sentomist::staticlint::SliceReport) {
     if report.seeds.is_empty() {
-        println!("no slice seeds: the program lints clean and no --pc was given");
+        outln!("no slice seeds: the program lints clean and no --pc was given");
         return;
     }
-    println!(
+    outln!(
         "backward slice from {:?}: {} of {} instruction(s), {} cross-context edge(s)",
-        report.seeds, report.stats.sliced, report.stats.instructions, report.stats.cross_edges
+        report.seeds,
+        report.stats.sliced,
+        report.stats.instructions,
+        report.stats.cross_edges
     );
     for i in &report.instructions {
-        println!(
+        outln!(
             "  pc {:>4}  {} (line {})",
             i.pc,
             i.routine.as_deref().unwrap_or("?"),
@@ -547,7 +598,7 @@ fn print_slice_report(report: &sentomist::staticlint::SliceReport) {
         );
     }
     for e in &report.cross_edges {
-        println!(
+        outln!(
             "  edge: {} pc {} ({}) --{}--> {} pc {} ({})",
             e.writer_context,
             e.write_pc,
@@ -572,7 +623,7 @@ fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
     let pcs = flag_pcs(&flags)?;
     if let Some(name) = flags.get("app") {
         if json {
-            print!(
+            out!(
                 "{}",
                 slice_document(name, flags.contains_key("fixed"), &pcs)?
             );
@@ -612,7 +663,7 @@ fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
     if json {
         let mut doc = serde_json::to_string_pretty(&report)?;
         doc.push('\n');
-        print!("{doc}");
+        out!("{doc}");
     } else {
         print_slice_report(&report);
     }
@@ -621,6 +672,11 @@ fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (pos, flags) = parse_flags(args);
+    reject_unknown_flags(
+        "localize",
+        &flags,
+        &["irq", "rank", "min-z", "causal", "detector", "nu"],
+    )?;
     let trace_path = pos.first().ok_or("localize: missing <trace.json>")?;
     let app_path = pos.get(1).ok_or("localize: missing <app.s>")?;
     let irq = flag_u64(&flags, "irq", 0)? as u8;
@@ -664,7 +720,7 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
         Some(c) => hits.iter().filter(|h| c.contains(h.pc)).collect(),
         None => hits.iter().collect(),
     };
-    println!(
+    outln!(
         "interval {} (rank {rank}, score {:.4}): deviating instructions{}:",
         target.index,
         target.score,
@@ -675,7 +731,7 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
     );
     for hit in shown.iter().take(12) {
-        println!(
+        outln!(
             "  pc {:>4}  z {:>7.2}  observed {:>7.0}  expected {:>9.1}  {} (line {})",
             hit.pc,
             hit.z_score,
@@ -686,10 +742,10 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
         );
     }
     if flags.contains_key("causal") {
-        println!();
+        outln!();
         match &chain {
             Some(c) => print_chain(c),
-            None => println!(
+            None => outln!(
                 "no causal chain: no warning-anchored cross-context edge \
                  carried state into this interval"
             ),
@@ -709,13 +765,15 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err("program/trace instruction counts disagree".into());
     }
     let profile = sentomist::trace::Profile::of_trace(&trace, &program);
-    print!("{}", profile.table());
+    out!("{}", profile.table());
     Ok(())
 }
 
 fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
     use sentomist::apps::{run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config};
-    let which = args
+    let (pos, flags) = parse_flags(args);
+    reject_unknown_flags("case", &flags, &[])?;
+    let which = pos
         .first()
         .map(String::as_str)
         .ok_or("case: missing <1|2|3>")?;
@@ -725,10 +783,11 @@ fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
         "3" => run_case3(&Case3Config::default())?,
         other => return Err(format!("unknown case `{other}`").into()),
     };
-    print!("{}", result.report.table(8, 2));
-    println!(
+    out!("{}", result.report.table(8, 2));
+    outln!(
         "\n{} samples; true symptoms at ranks {:?}",
-        result.sample_count, result.buggy_ranks
+        result.sample_count,
+        result.buggy_ranks
     );
     Ok(())
 }
@@ -752,7 +811,7 @@ fn print_outcome(o: &RunOutcome) {
         Verdict::Triggered => "triggered",
         Verdict::Clean => "clean",
     };
-    println!(
+    outln!(
         "{:>6} {:>8} {:>9} {:>10} {:>10} {:>17}",
         o.seed,
         o.samples,
@@ -766,15 +825,20 @@ fn print_outcome(o: &RunOutcome) {
 }
 
 fn print_campaign_table(result: &CampaignResult) {
-    println!(
+    outln!(
         "{:>6} {:>8} {:>9} {:>10} {:>10} {:>17}",
-        "seed", "samples", "symptoms", "verdict", "best rank", "trace digest"
+        "seed",
+        "samples",
+        "symptoms",
+        "verdict",
+        "best rank",
+        "trace digest"
     );
     for o in &result.outcomes {
         print_outcome(o);
     }
     for e in &result.errors {
-        println!(
+        outln!(
             "{:>6} FAILED [{}, {} attempt{}]: {}",
             e.seed,
             e.kind.as_str(),
@@ -784,23 +848,29 @@ fn print_campaign_table(result: &CampaignResult) {
         );
     }
     let s = result.summary();
-    println!(
+    outln!(
         "\ntrigger rate:  {}/{} runs ({:.0}%)",
         s.triggered,
         s.runs,
         100.0 * s.trigger_rate
     );
-    println!(
+    outln!(
         "detection:     best symptom in top-1 for {}, top-3 for {}, top-10 for {} \
          of the {} triggered runs",
-        s.hits_top1, s.hits_top3, s.hits_top10, s.triggered
+        s.hits_top1,
+        s.hits_top3,
+        s.hits_top10,
+        s.triggered
     );
-    println!(
+    outln!(
         "intervals:     {} total ({}..{} per run, mean {:.1})",
-        s.total_samples, s.min_samples, s.max_samples, s.mean_samples
+        s.total_samples,
+        s.min_samples,
+        s.max_samples,
+        s.mean_samples
     );
     if s.failed > 0 {
-        println!(
+        outln!(
             "failures:      {} of {} run(s) failed ({} panic, {} timeout, \
              {} attempts spent, {:.0}% failure rate)",
             s.failed,
@@ -816,6 +886,34 @@ fn print_campaign_table(result: &CampaignResult) {
 fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
     use sentomist::core::campaign::replay;
     let (_, flags) = parse_flags(args);
+    reject_unknown_flags(
+        "campaign",
+        &flags,
+        &[
+            "case",
+            "seeds",
+            "base-seed",
+            "threads",
+            "period",
+            "seconds",
+            "nu",
+            "json",
+            "progress",
+            "store",
+            "writers",
+            "resume",
+            "strict",
+            "max-retries",
+            "backoff-ms",
+            "timeout-ms",
+            "timeout-cycles",
+            "chaos",
+            "chaos-rate",
+            "stop-after",
+            "replay",
+            "seed",
+        ],
+    )?;
     let json = flags.contains_key("json");
     let mode = campaign_mode(&flags)?;
     let mut config = mode.config_entries();
@@ -835,14 +933,19 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
                 ),
                 ("outcome".to_string(), Serialize::to_value(&outcome)),
             ]);
-            println!("{}", serde_json::to_string_pretty(&doc)?);
+            outln!("{}", serde_json::to_string_pretty(&doc)?);
         } else {
-            println!(
+            outln!(
                 "{:>6} {:>8} {:>9} {:>10} {:>10} {:>17}",
-                "seed", "samples", "symptoms", "verdict", "best rank", "trace digest"
+                "seed",
+                "samples",
+                "symptoms",
+                "verdict",
+                "best rank",
+                "trace digest"
             );
             print_outcome(&outcome);
-            println!(
+            outln!(
                 "\nreplayed in {} ms; the trace digest above must equal the \
                  campaign row's digest for the same seed",
                 outcome.wall_time_ms
@@ -1031,19 +1134,19 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&campaign_document(std::mem::take(&mut config), &result))?
         );
     } else {
         print_campaign_table(&result);
-        println!(
+        outln!(
             "time:          {:.2} s wall on {} thread(s), {:.2} s total job time",
             elapsed.as_secs_f64(),
             threads,
             result.cpu_time_ms() as f64 / 1000.0
         );
-        println!("replay a row:  sentomist campaign --replay --seed <seed> [same flags]");
+        outln!("replay a row:  sentomist campaign --replay --seed <seed> [same flags]");
     }
     if strict && !result.errors.is_empty() {
         return Err(format!(
@@ -1120,14 +1223,14 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
         let (record, _traces) = hunt_iteration(case, variant, seed, &policy)
             .map_err(|e| format!("seed {seed}: {e}"))?;
         if json {
-            println!("{}", serde_json::to_string_pretty(&record)?);
+            outln!("{}", serde_json::to_string_pretty(&record)?);
         } else {
-            println!(
+            outln!(
                 "hunt replay: {} ({}) seed {seed}",
                 case.name(),
                 variant.name()
             );
-            println!(
+            outln!(
                 "  samples {}, symptoms {}, verdict {:?}, trace digest {}",
                 record.outcome.samples,
                 record.outcome.symptoms,
@@ -1135,15 +1238,15 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
                 record.outcome.trace_digest
             );
             if record.violations.is_empty() {
-                println!(
+                outln!(
                     "  no invariant violations ({} checked)",
                     record.checked.len()
                 );
             }
             for v in &record.violations {
-                println!("  VIOLATION {}: {}", v.invariant.slug(), v.message);
+                outln!("  VIOLATION {}: {}", v.invariant.slug(), v.message);
             }
-            println!(
+            outln!(
                 "\nthe record above is a pure function of the seed — rerunning \
                  this replay (any thread count) must print it bit for bit"
             );
@@ -1282,14 +1385,19 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 
     if json {
-        print!("{doc}");
+        out!("{doc}");
     } else {
-        println!(
+        outln!(
             "{:<13} {:<6} {:>5} {:>9} {:>10} {:>7}",
-            "target", "variant", "runs", "triggered", "violations", "failed"
+            "target",
+            "variant",
+            "runs",
+            "triggered",
+            "violations",
+            "failed"
         );
         for t in &report.targets {
-            println!(
+            outln!(
                 "{:<13} {:<6} {:>5} {:>9} {:>10} {:>7}",
                 t.target,
                 t.variant,
@@ -1299,16 +1407,16 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
                 t.errors.len()
             );
         }
-        println!(
+        outln!(
             "\n{} invariant violation(s), {} failed run(s) in {:.2} s on {} thread(s)",
             report.violation_count(),
             report.error_count(),
             elapsed.as_secs_f64(),
             threads
         );
-        println!("report:  {}", md_path.display());
-        println!("         {}", json_path.display());
-        println!("replay:  sentomist hunt --case <n> [--fixed] --replay --seed <seed>");
+        outln!("report:  {}", md_path.display());
+        outln!("         {}", json_path.display());
+        outln!("replay:  sentomist hunt --case <n> [--fixed] --replay --seed <seed>");
     }
     if strict && (report.violation_count() > 0 || report.error_count() > 0) {
         return Err(format!(
@@ -1362,26 +1470,26 @@ fn cmd_trace_fsck(args: &[String]) -> Result<(), Box<dyn Error>> {
     let store = TraceStore::open(&root)?;
     let report = store.fsck(repair)?;
     if report.is_clean() {
-        println!("{root}: clean — no pending log entries, temp files or damaged runs");
+        outln!("{root}: clean — no pending log entries, temp files or damaged runs");
         return Ok(());
     }
     for target in &report.pending {
-        println!("pending:   {target} (write-ahead intent without a commit)");
+        outln!("pending:   {target} (write-ahead intent without a commit)");
     }
     for tmp in &report.torn_tmp {
-        println!("tmp:       {tmp}");
+        outln!("tmp:       {tmp}");
     }
     for run in &report.torn_runs {
-        println!("torn:      {run} (manifest missing or unreadable)");
+        outln!("torn:      {run} (manifest missing or unreadable)");
     }
     for run in &report.damaged_runs {
-        println!("damaged:   {run} (trace file missing or short)");
+        outln!("damaged:   {run} (trace file missing or short)");
     }
     if report.stale_index {
-        println!("index:     stale (run set changed since the last merge)");
+        outln!("index:     stale (run set changed since the last merge)");
     }
     if repair {
-        println!(
+        outln!(
             "repaired: {} temp file(s) swept, {} run(s) quarantined, \
              index {}",
             report.torn_tmp.len(),
@@ -1405,7 +1513,7 @@ fn cmd_trace_merge(args: &[String]) -> Result<(), Box<dyn Error>> {
     let store = TraceStore::open(root)?;
     let shards = store.shard_ids()?;
     if shards.is_empty() {
-        println!("{root}: no shards — corpus is already flat");
+        outln!("{root}: no shards — corpus is already flat");
         return Ok(());
     }
     // compact_shards republishes the merged index itself; load it back
@@ -1413,7 +1521,7 @@ fn cmd_trace_merge(args: &[String]) -> Result<(), Box<dyn Error>> {
     let moved = store.compact_shards()?;
     let index = CorpusIndex::load(&store)?
         .ok_or("compaction finished but left no index — store is damaged")?;
-    println!(
+    outln!(
         "merged {} run(s) from {} shard(s) into {root}/runs \
          (index generation {}, corpus digest {:016x})",
         moved.len(),
@@ -1439,14 +1547,14 @@ fn cmd_trace_quarantine(args: &[String]) -> Result<(), Box<dyn Error>> {
             let store = TraceStore::open(root)?;
             let notes = store.quarantined()?;
             if notes.is_empty() {
-                println!("quarantine is empty");
+                outln!("quarantine is empty");
                 return Ok(());
             }
-            println!("{:<26} reason", "run");
+            outln!("{:<26} reason", "run");
             for note in &notes {
-                println!("{:<26} {}", note.run_id, note.reason);
+                outln!("{:<26} {}", note.run_id, note.reason);
             }
-            println!(
+            outln!(
                 "\n{} quarantined run(s) under {}",
                 notes.len(),
                 store.quarantine_dir().display()
@@ -1485,13 +1593,13 @@ fn cmd_trace_record(args: &[String]) -> Result<(), Box<dyn Error>> {
     node.run(cycles, &mut tinyvm::Tee(&mut recorder, &mut writer))?;
     let stats = writer.finish()?;
     let trace = recorder.try_into_trace()?;
-    println!(
+    outln!(
         "recorded {} lifecycle events + {} segments over {} cycles",
         stats.events,
         stats.segments,
         node.cycle()
     );
-    println!(
+    outln!(
         "{out}: {} bytes ({:.1}% of the {}-byte fixed-width encoding), \
          trace digest {:016x}",
         stats.encoded_bytes,
@@ -1508,7 +1616,7 @@ fn cmd_trace_ls(args: &[String]) -> Result<(), Box<dyn Error>> {
     let root = pos.first().ok_or("trace ls: missing <store-dir>")?;
     let store = TraceStore::open(root)?;
     if let Some(c) = store.campaign()? {
-        println!(
+        outln!(
             "campaign: mode {}, {} seed(s) from {}{}{}",
             c.mode,
             c.seeds,
@@ -1525,14 +1633,19 @@ fn cmd_trace_ls(args: &[String]) -> Result<(), Box<dyn Error>> {
             },
         );
     }
-    println!(
+    outln!(
         "{:<26} {:>8} {:>7} {:>5} {:>10} {:>12}",
-        "run", "seed", "mode", "nodes", "events", "bytes"
+        "run",
+        "seed",
+        "mode",
+        "nodes",
+        "events",
+        "bytes"
     );
     for m in store.manifests()? {
         let events: u64 = m.nodes.iter().map(|n| n.events).sum();
         let bytes: u64 = m.nodes.iter().map(|n| n.encoded_bytes).sum();
-        println!(
+        outln!(
             "{:<26} {:>8} {:>7} {:>5} {:>10} {:>12}",
             m.run_id,
             m.seed,
@@ -1551,7 +1664,7 @@ fn cmd_trace_ls(args: &[String]) -> Result<(), Box<dyn Error>> {
 fn stc_file_info(path: &Path) -> Result<(), Box<dyn Error>> {
     use sentomist::tracestore::Record;
     let mut reader = TraceReader::open(path)?;
-    println!(
+    outln!(
         "{}: stc v{}, program length {}",
         path.display(),
         sentomist::tracestore::FORMAT_VERSION,
@@ -1572,8 +1685,8 @@ fn stc_file_info(path: &Path) -> Result<(), Box<dyn Error>> {
     let bytes = std::fs::metadata(path)
         .map_err(|e| format!("stat {}: {e}", path.display()))?
         .len();
-    println!("  {events} lifecycle events, {segments} segments, last event at cycle {last_cycle}");
-    println!(
+    outln!("  {events} lifecycle events, {segments} segments, last event at cycle {last_cycle}");
+    outln!(
         "  {bytes} bytes on disk ({:.2} per event+segment pair)",
         if events + segments == 0 {
             0.0
@@ -1590,9 +1703,9 @@ fn stc_file_info(path: &Path) -> Result<(), Box<dyn Error>> {
         }
     }
     per_irq.sort_unstable();
-    println!("  {} event-handling intervals:", intervals.len());
+    outln!("  {} event-handling intervals:", intervals.len());
     for (irq, n) in per_irq {
-        println!("    irq {irq} ({}): {n}", tinyvm::isa::irq::name(irq));
+        outln!("    irq {irq} ({}): {n}", tinyvm::isa::irq::name(irq));
     }
     Ok(())
 }
@@ -1602,19 +1715,19 @@ fn stc_file_info(path: &Path) -> Result<(), Box<dyn Error>> {
 fn stc_file_salvage(path: &Path) -> Result<(), Box<dyn Error>> {
     let salvage = sentomist::tracestore::salvage_trace_file(path)?;
     if salvage.complete {
-        println!(
+        outln!(
             "{}: intact — all {} chunk(s) verified, nothing to salvage",
             path.display(),
             salvage.recovered_chunks
         );
     } else {
-        println!(
+        outln!(
             "{}: damaged — {}",
             path.display(),
             salvage.error.as_deref().unwrap_or("unknown defect")
         );
     }
-    println!(
+    outln!(
         "  recovered {} chunk(s): {} event(s), {} segment(s) \
          ({} trailing event(s) dropped to restore the protocol)",
         salvage.recovered_chunks,
@@ -1623,12 +1736,12 @@ fn stc_file_salvage(path: &Path) -> Result<(), Box<dyn Error>> {
         salvage.dropped_events
     );
     if salvage.lost_bytes > 0 {
-        println!(
+        outln!(
             "  {} byte(s) unreadable past the defect",
             salvage.lost_bytes
         );
     }
-    println!("  salvaged trace digest {:016x}", salvage.trace.digest());
+    outln!("  salvaged trace digest {:016x}", salvage.trace.digest());
     Ok(())
 }
 
@@ -1654,7 +1767,7 @@ fn cmd_trace_info(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     let store = TraceStore::open(path)?;
     if let Some(c) = store.campaign()? {
-        println!(
+        outln!(
             "campaign: mode {}, {} seed(s) from {}, params [{}]",
             c.mode,
             c.seeds,
@@ -1662,18 +1775,26 @@ fn cmd_trace_info(args: &[String]) -> Result<(), Box<dyn Error>> {
             c.params.join(", ")
         );
         for e in &c.errors {
-            println!("  seed {} failed live: {}", e.seed, e.message);
+            outln!("  seed {} failed live: {}", e.seed, e.message);
         }
     }
     for m in store.manifests()? {
-        println!(
+        outln!(
             "{} (seed {}, mode {}, program {}):",
-            m.run_id, m.seed, m.mode, m.program_digest
+            m.run_id,
+            m.seed,
+            m.mode,
+            m.program_digest
         );
         for n in &m.nodes {
-            println!(
+            outln!(
                 "  {} — node {}, {} events, {} segments, {} bytes, digest {}",
-                n.file, n.node, n.events, n.segments, n.encoded_bytes, n.trace_digest
+                n.file,
+                n.node,
+                n.events,
+                n.segments,
+                n.encoded_bytes,
+                n.trace_digest
             );
         }
     }
@@ -1714,17 +1835,19 @@ fn cmd_trace_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
 
     if json {
         // The document already carries its trailing newline.
-        print!("{}", mined.document);
+        out!("{}", mined.document);
         return Ok(());
     }
     print_campaign_table(&mined.result);
     for q in &mined.quarantined {
-        println!(
+        outln!(
             "quarantined:   {} (seed {}) — {}",
-            q.run_id, q.seed, q.reason
+            q.run_id,
+            q.seed,
+            q.reason
         );
     }
-    println!(
+    outln!(
         "time:          {:.2} s wall on {} thread(s) — re-mined from {}, no emulation",
         elapsed.as_secs_f64(),
         threads,
@@ -1753,7 +1876,7 @@ fn main() -> ExitCode {
         "hunt" => cmd_hunt(rest),
         "trace" => cmd_trace(rest),
         "help" | "--help" | "-h" => {
-            print!("{}", usage());
+            out!("{}", usage());
             Ok(())
         }
         other => Err(usage_error(format!("unknown command `{other}`"))),

@@ -202,12 +202,18 @@ fn assembly_error_reports_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `trace`, `hunt`, `lint`, and `slice` reject flags they do not
+/// Every subcommand that takes flags rejects the ones it does not
 /// understand instead of silently ignoring them: usage on stderr,
 /// nonzero exit, nothing on stdout.
 #[test]
 fn unknown_flags_are_rejected_with_usage() {
     for args in [
+        vec!["campaign", "--case", "3", "--seeds", "1", "--bogus", "7"],
+        vec!["campaign", "--replay", "--seed", "1", "--bogus"],
+        vec!["mine", "x.trace.json", "--irq", "2", "--bogus"],
+        vec!["localize", "x.trace.json", "x.s", "--bogus"],
+        vec!["run", "x.s", "--bogus", "--cycles", "10"],
+        vec!["case", "2", "--bogus"],
         vec!["lint", "--app", "forwarder", "--bogus"],
         vec!["slice", "--app", "forwarder", "--bogus"],
         vec!["hunt", "--bogus", "--iterations", "1"],
@@ -431,4 +437,58 @@ fn unknown_subcommands_print_usage_to_stderr_and_exit_nonzero() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+}
+
+/// Runs the CLI with its stdout connected to a pipe whose reading end is
+/// already closed, as in `sentomist ... | head` once `head` has exited.
+fn run_into_closed_pipe(args: &[&str]) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    cli()
+        .args(args)
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .unwrap()
+}
+
+/// A closed stdout pipe is a quiet exit, not a panic: the reader has
+/// everything it wanted.
+#[test]
+fn closed_stdout_pipe_exits_quietly() {
+    let dir = workdir("cli-closed-pipe");
+    let store = dir.join("corpus");
+    let out = cli()
+        .args(["campaign", "--seeds", "2", "--seconds", "2", "--store"])
+        .arg(&store)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let store = store.to_str().unwrap();
+    for args in [
+        vec!["trace", "mine", store, "--json"],
+        vec!["trace", "mine", store],
+        vec!["trace", "ls", store],
+        vec!["campaign", "--seeds", "2", "--seconds", "2", "--json"],
+        vec!["help"],
+    ] {
+        let out = run_into_closed_pipe(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "`sentomist {}` into a closed pipe exited {:?}:\n{stderr}",
+            args.join(" "),
+            out.status.code()
+        );
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+            "`sentomist {}` into a closed pipe complained:\n{stderr}",
+            args.join(" ")
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
