@@ -17,6 +17,9 @@
 //! The *fixed* variant clears the busy mark on failure so the next timer
 //! tick retries.
 
+use crate::experiments::record_sim;
+use sentomist_trace::Trace;
+use std::error::Error;
 use std::sync::Arc;
 use tinyvm::asm::AsmError;
 use tinyvm::devices::NodeConfig;
@@ -351,6 +354,25 @@ pub fn node_config(id: u16, seed: u64) -> NodeConfig {
         seed: seed.wrapping_add(id as u64 * 7919),
         ..NodeConfig::default()
     }
+}
+
+/// Records every node of the tree running `program` for `run_seconds`
+/// simulated seconds: the one emulation entry point of case study III
+/// and the hunt's CTP scenarios. Returns one trace per node, in id order.
+///
+/// # Errors
+///
+/// Topology and simulation errors.
+pub fn record(
+    program: &Arc<Program>,
+    seed: u64,
+    run_seconds: u64,
+) -> Result<Vec<Trace>, Box<dyn Error>> {
+    let mut sim = netsim::NetSim::new(topology()?, seed);
+    for id in 0..NODE_COUNT {
+        sim.add_node(Arc::clone(program), node_config(id, seed))?;
+    }
+    Ok(record_sim(sim, run_seconds)?)
 }
 
 #[cfg(test)]

@@ -6,22 +6,28 @@
 //! the paper, which relied on manual inspection — also computes the
 //! ground-truth set of bug-symptom intervals from independent oracles, so
 //! the ranking quality is machine-checkable.
+//!
+//! Each case study is defined once. Its application module records it
+//! ([`oscilloscope::record`], [`forwarder::record_chain`],
+//! [`ctp::record`]); one harvest-plus-oracle function here turns its
+//! traces into the sample population and the ground-truth symptoms; the
+//! callers rank. The campaign jobs built on these live in
+//! [`crate::jobs::Mode`].
 
 use crate::{ctp, forwarder, oscilloscope};
 use mlcore::{
     EnsembleDetector, KdeDetector, KfdDetector, KnnDetector, MahalanobisDetector, PcaDetector,
 };
-use sentomist_core::campaign::{
-    run_campaign, CampaignOptions, CampaignResult, RunOutcome, Verdict,
-};
-use sentomist_core::supervise::{RunContext, RunFailure};
+use sentomist_core::campaign::{RunOutcome, Verdict};
 use sentomist_core::{harvest_set, Pipeline, Report, SampleIndex, SampleSet};
 use sentomist_trace::{EventInterval, Recorder, Trace};
 use std::error::Error;
+use std::sync::Arc;
+use tinyvm::asm::AsmError;
 use tinyvm::devices::NodeConfig;
 use tinyvm::isa::irq;
 use tinyvm::node::Node;
-use tinyvm::LifecycleItem;
+use tinyvm::{LifecycleItem, Program};
 
 /// Simulated clock rate (cycles per second).
 pub const CYCLES_PER_SECOND: u64 = tinyvm::isa::DEFAULT_CLOCK_HZ;
@@ -78,6 +84,12 @@ impl DetectorKind {
                 Pipeline::new(Box::new(EnsembleDetector::committee(nu)))
             }
         }
+    }
+
+    /// The detector called `name` (as printed by [`DetectorKind::name`]),
+    /// with `nu` for the kinds that take one.
+    pub fn from_name(name: &str, nu: f64) -> Option<DetectorKind> {
+        DetectorKind::all(nu).into_iter().find(|k| k.name() == name)
     }
 
     /// Short name for tables.
@@ -176,6 +188,177 @@ pub(crate) fn chain_digest(digests: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
+/// Runs a network with one recorder per node and returns the traces in
+/// node-id order — the recording half shared by every multi-node
+/// emulation entry point.
+pub(crate) fn record_sim(
+    mut sim: netsim::NetSim,
+    run_seconds: u64,
+) -> Result<Vec<Trace>, netsim::SimError> {
+    let mut recorders: Vec<Recorder> = (0..sim.node_count())
+        .map(|id| Recorder::new(sim.node(id as u16).program().len()))
+        .collect();
+    sim.run(run_seconds * CYCLES_PER_SECOND, &mut recorders)?;
+    Ok(recorders.into_iter().map(Recorder::into_trace).collect())
+}
+
+// ---------------------------------------------------------------------
+// Harvest plus oracle: one function per case study
+// ---------------------------------------------------------------------
+
+/// How harvested intervals are labelled in a ranking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IndexShape {
+    /// `[run, seq]`: one trace per testing run (case I's sampling periods).
+    RunSeq,
+    /// `seq`: the intervals of a single trace.
+    Seq,
+    /// `[node, seq]`: one trace per node, in node-id order.
+    NodeSeq,
+}
+
+impl IndexShape {
+    fn index(self, position: usize, seq: u32) -> SampleIndex {
+        match self {
+            IndexShape::RunSeq => SampleIndex::RunSeq {
+                run: position as u32 + 1,
+                seq,
+            },
+            IndexShape::Seq => SampleIndex::Seq(seq),
+            IndexShape::NodeSeq => SampleIndex::NodeSeq {
+                node: position as u16,
+                seq,
+            },
+        }
+    }
+}
+
+/// A harvested population plus its ground-truth symptom samples, in
+/// sample order.
+pub(crate) type Harvest = (SampleSet, Vec<SampleIndex>);
+
+/// Harvests the `irq` intervals of `traces[p]` for each position `p`,
+/// labels them by `shape` and pools them, marking the samples `symptom`
+/// flags. This is the one harvest loop behind every case study. A single
+/// trace's set is taken as is, never copied.
+fn harvest(
+    traces: &[Trace],
+    positions: impl IntoIterator<Item = usize>,
+    irq: u8,
+    shape: IndexShape,
+    symptom: impl Fn(&Trace, &EventInterval, &[f64]) -> bool,
+) -> Result<Harvest, String> {
+    let mut pooled: Option<SampleSet> = None;
+    let mut buggy = Vec::new();
+    for position in positions {
+        let trace = &traces[position];
+        let set = harvest_set(trace, irq, |seq, _| shape.index(position, seq)).map_err(|e| {
+            format!(
+                "harvesting {} intervals of trace {position}: {e}",
+                irq::name(irq)
+            )
+        })?;
+        buggy.extend(
+            set.meta
+                .iter()
+                .zip(set.features.rows_iter())
+                .filter(|(m, row)| symptom(trace, &m.interval, row))
+                .map(|(m, _)| m.index),
+        );
+        match &mut pooled {
+            None => pooled = Some(set),
+            Some(all) => all.append(&set),
+        }
+    }
+    Ok((pooled.unwrap_or_else(SampleSet::empty), buggy))
+}
+
+fn expect_traces(traces: &[Trace], expected: usize, what: &str) -> Result<(), String> {
+    if traces.len() == expected {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} expects {expected} trace(s), got {}",
+            traces.len()
+        ))
+    }
+}
+
+/// Case study I: the ADC intervals, where a symptom is an interval with a
+/// nested ADC interrupt. `RunSeq` pools one trace per sampling period;
+/// `Seq` takes the single trace of a trigger, fidelity or hunt run;
+/// `NodeSeq` pools the sensors of a multi-node run, whose node 0 is the
+/// sink and samples nothing.
+pub(crate) fn harvest_case1(traces: &[Trace], shape: IndexShape) -> Result<Harvest, String> {
+    let first = match shape {
+        IndexShape::RunSeq => 0,
+        IndexShape::Seq => {
+            expect_traces(traces, 1, "a single-node oscilloscope run")?;
+            0
+        }
+        IndexShape::NodeSeq => 1,
+    };
+    harvest(
+        traces,
+        first..traces.len(),
+        irq::ADC,
+        shape,
+        |trace, interval, _| contains_nested_int(trace, interval, irq::ADC),
+    )
+}
+
+/// Case study II: the relay's packet-arrival intervals of a forwarder
+/// chain (sink, relay, source), where a symptom is an interval that ran
+/// the relay's `fwd_drop` branch. The fixed relay has no such branch, so
+/// its runs have no symptoms.
+pub(crate) fn harvest_case2(traces: &[Trace], relay: &Program) -> Result<Harvest, String> {
+    expect_traces(traces, 3, "a forwarder chain")?;
+    let drop_pc = relay.label("fwd_drop").map(usize::from);
+    harvest(
+        traces,
+        [usize::from(forwarder::nodes::RELAY)],
+        irq::RX,
+        IndexShape::Seq,
+        |_, _, row| drop_pc.is_some_and(|pc| row[pc] > 0.0),
+    )
+}
+
+/// Case study III: the report-timer intervals of the source nodes of a
+/// CTP tree, pooled as `[node, seq]`, where a symptom is an interval that
+/// ran the `ctp_fail` branch.
+pub(crate) fn harvest_case3(traces: &[Trace], program: &Program) -> Result<Harvest, String> {
+    expect_traces(traces, usize::from(ctp::NODE_COUNT), "a CTP tree")?;
+    let fail_pc = usize::from(
+        program
+            .label("ctp_fail")
+            .ok_or("ctp program lacks the ctp_fail label")?,
+    );
+    harvest(
+        traces,
+        ctp::SOURCES.map(usize::from),
+        irq::TIMER0,
+        IndexShape::NodeSeq,
+        |_, _, row| row[fail_pc] > 0.0,
+    )
+}
+
+/// Ranks a case study's harvest with `detector`; the trace digest chains
+/// every trace in order.
+fn rank_case(
+    detector: DetectorKind,
+    traces: &[Trace],
+    (set, buggy): Harvest,
+) -> Result<CaseResult, Box<dyn Error>> {
+    let sample_count = set.len();
+    let report = detector.pipeline().rank_set(set)?;
+    Ok(CaseResult::new(
+        report,
+        sample_count,
+        buggy,
+        chain_digest(traces.iter().map(Trace::digest)),
+    ))
+}
+
 // ---------------------------------------------------------------------
 // Case study I: data pollution in single-hop data collection
 // ---------------------------------------------------------------------
@@ -207,37 +390,6 @@ impl Default for Case1Config {
     }
 }
 
-/// Emulates case study I's testing runs: one trace per sampling period,
-/// plus the total count of polluted UART packets (the independent data
-/// oracle).
-fn case1_emulate(config: &Case1Config) -> Result<(Vec<Trace>, usize), Box<dyn Error>> {
-    let mut traces = Vec::with_capacity(config.periods_ms.len());
-    let mut polluted_packets = 0usize;
-    for (r, &period) in config.periods_ms.iter().enumerate() {
-        let params = oscilloscope::OscilloscopeParams::with_period_ms(period);
-        let program = if config.use_fixed {
-            oscilloscope::fixed(&params)?
-        } else {
-            oscilloscope::buggy(&params)?
-        };
-        let mut node = Node::new(
-            program.clone(),
-            NodeConfig {
-                seed: config.seed.wrapping_add(r as u64),
-                ..NodeConfig::default()
-            },
-        );
-        let mut recorder = Recorder::new(program.len());
-        node.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorder)?;
-        polluted_packets += oscilloscope::parse_uart(node.uart())
-            .iter()
-            .filter(|p| p.polluted())
-            .count();
-        traces.push(recorder.into_trace());
-    }
-    Ok((traces, polluted_packets))
-}
-
 /// Mines case study I from its recorded traces (one per sampling period,
 /// in `periods_ms` order). This is the single mining code path shared by
 /// the live [`run_case1`] and store-replayed re-mining, which is what
@@ -247,31 +399,11 @@ fn case1_emulate(config: &Case1Config) -> Result<(Vec<Trace>, usize), Box<dyn Er
 ///
 /// Propagates trace extraction and pipeline errors.
 pub fn mine_case1(config: &Case1Config, traces: &[Trace]) -> Result<CaseResult, Box<dyn Error>> {
-    let mut all_samples = SampleSet::empty();
-    let mut buggy: Vec<SampleIndex> = Vec::new();
-    let mut digests: Vec<u64> = Vec::new();
-    for (r, trace) in traces.iter().enumerate() {
-        digests.push(trace.digest());
-        let run_no = r as u32 + 1;
-        let set = harvest_set(trace, irq::ADC, |seq, _| SampleIndex::RunSeq {
-            run: run_no,
-            seq,
-        })?;
-        for m in &set.meta {
-            if contains_nested_int(trace, &m.interval, irq::ADC) {
-                buggy.push(m.index);
-            }
-        }
-        all_samples.append(&set);
-    }
-    let sample_count = all_samples.len();
-    let report = config.detector.pipeline().rank_set(all_samples)?;
-    Ok(CaseResult::new(
-        report,
-        sample_count,
-        buggy,
-        chain_digest(digests),
-    ))
+    rank_case(
+        config.detector,
+        traces,
+        harvest_case1(traces, IndexShape::RunSeq)?,
+    )
 }
 
 /// Runs case study I and ranks the ADC event-handling intervals.
@@ -294,7 +426,23 @@ pub fn run_case1(config: &Case1Config) -> Result<CaseResult, Box<dyn Error>> {
 ///
 /// Propagates VM faults, trace extraction and pipeline errors.
 pub fn run_case1_traced(config: &Case1Config) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> {
-    let (traces, polluted_packets) = case1_emulate(config)?;
+    let mut traces = Vec::with_capacity(config.periods_ms.len());
+    let mut polluted_packets = 0usize;
+    for (r, &period) in config.periods_ms.iter().enumerate() {
+        let params = oscilloscope::OscilloscopeParams::with_period_ms(period);
+        let program = if config.use_fixed {
+            oscilloscope::fixed(&params)?
+        } else {
+            oscilloscope::buggy(&params)?
+        };
+        let node_config = NodeConfig {
+            seed: config.seed.wrapping_add(r as u64),
+            ..NodeConfig::default()
+        };
+        let (trace, node) = oscilloscope::record(&program, node_config, config.run_seconds, None)?;
+        polluted_packets += polluted_packets_of(&node);
+        traces.push(trace);
+    }
     let result = mine_case1(config, &traces)?;
     // Cross-check the two independent oracles: every polluted packet stems
     // from a nested-interrupt interval. (The trace oracle can flag one
@@ -306,6 +454,15 @@ pub fn run_case1_traced(config: &Case1Config) -> Result<(CaseResult, Vec<Trace>)
         polluted_packets
     );
     Ok((result, traces))
+}
+
+/// Packets in `node`'s UART log whose content the race polluted (the
+/// independent data oracle of case study I).
+fn polluted_packets_of(node: &Node) -> usize {
+    oscilloscope::parse_uart(node.uart())
+        .iter()
+        .filter(|p| p.polluted())
+        .count()
 }
 
 // ---------------------------------------------------------------------
@@ -343,38 +500,16 @@ impl Default for Case2Config {
     }
 }
 
-/// Emulates case study II: a 3-node chain (sink, relay, source), returning
-/// the traces in node-id order.
-fn case2_emulate(config: &Case2Config) -> Result<Vec<Trace>, Box<dyn Error>> {
-    let relay = if config.use_fixed {
-        forwarder::relay_program_fixed()?
-    } else {
-        forwarder::relay_program_buggy()?
-    };
-    let link = netsim::LinkConfig {
-        loss_prob: config.link_loss,
-        ..netsim::LinkConfig::default()
-    };
-    let mut sim = netsim::NetSim::new(netsim::Topology::chain(3, link)?, config.seed);
-    sim.add_node(
-        forwarder::sink_program()?,
-        forwarder::node_config(forwarder::nodes::SINK, config.seed),
-    )?;
-    sim.add_node(
-        relay.clone(),
-        forwarder::node_config(forwarder::nodes::RELAY, config.seed + 1),
-    )?;
-    sim.add_node(
-        forwarder::source_program(&config.params)?,
-        forwarder::node_config(forwarder::nodes::SOURCE, config.seed + 2),
-    )?;
-    let mut recorders = vec![
-        Recorder::new(sim.node(0).program().len()),
-        Recorder::new(relay.len()),
-        Recorder::new(sim.node(2).program().len()),
-    ];
-    sim.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorders)?;
-    Ok(recorders.into_iter().map(Recorder::into_trace).collect())
+impl Case2Config {
+    /// The relay under test. Assembly is deterministic, so re-mining
+    /// locates the same `fwd_drop` label the recorded run executed.
+    fn relay(&self) -> Result<Arc<Program>, AsmError> {
+        if self.use_fixed {
+            forwarder::relay_program_fixed()
+        } else {
+            forwarder::relay_program_buggy()
+        }
+    }
 }
 
 /// Mines case study II from its recorded traces (sink, relay, source in
@@ -385,33 +520,8 @@ fn case2_emulate(config: &Case2Config) -> Result<Vec<Trace>, Box<dyn Error>> {
 /// Fails on a wrong trace count; propagates assembly, extraction and
 /// pipeline errors.
 pub fn mine_case2(config: &Case2Config, traces: &[Trace]) -> Result<CaseResult, Box<dyn Error>> {
-    if traces.len() != 3 {
-        return Err(format!("case II expects 3 node traces, got {}", traces.len()).into());
-    }
-    // Re-assemble the relay only to locate the ground-truth drop label;
-    // assembly is deterministic, so the label matches the recorded run.
-    let relay = if config.use_fixed {
-        forwarder::relay_program_fixed()?
-    } else {
-        forwarder::relay_program_buggy()?
-    };
-    let drop_pc = relay.label("fwd_drop");
-    let trace_digest = chain_digest(traces.iter().map(Trace::digest));
-    let relay_trace = &traces[1];
-    let set = harvest_set(relay_trace, irq::RX, |seq, _| SampleIndex::Seq(seq))?;
-    let buggy: Vec<SampleIndex> = match drop_pc {
-        Some(pc) => set
-            .meta
-            .iter()
-            .zip(set.features.rows_iter())
-            .filter(|(_, row)| row[pc as usize] > 0.0)
-            .map(|(m, _)| m.index)
-            .collect(),
-        None => Vec::new(), // fixed relay has no drop branch to hit
-    };
-    let sample_count = set.len();
-    let report = config.detector.pipeline().rank_set(set)?;
-    Ok(CaseResult::new(report, sample_count, buggy, trace_digest))
+    let relay = config.relay()?;
+    rank_case(config.detector, traces, harvest_case2(traces, &relay)?)
 }
 
 /// Runs case study II and ranks the relay's packet-arrival intervals.
@@ -433,7 +543,18 @@ pub fn run_case2(config: &Case2Config) -> Result<CaseResult, Box<dyn Error>> {
 ///
 /// Propagates simulation, extraction and pipeline errors.
 pub fn run_case2_traced(config: &Case2Config) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> {
-    let traces = case2_emulate(config)?;
+    let link = netsim::LinkConfig {
+        loss_prob: config.link_loss,
+        ..netsim::LinkConfig::default()
+    };
+    let traces = forwarder::record_chain(
+        &config.relay()?,
+        &config.params,
+        link,
+        link,
+        config.seed,
+        config.run_seconds,
+    )?;
     let result = mine_case2(config, &traces)?;
     Ok((result, traces))
 }
@@ -469,6 +590,19 @@ impl Default for Case3Config {
     }
 }
 
+impl Case3Config {
+    /// The node program under test. Assembly is deterministic, so
+    /// re-mining locates the same `ctp_fail` label the recorded run
+    /// executed.
+    fn program(&self) -> Result<Arc<Program>, AsmError> {
+        if self.use_fixed {
+            ctp::fixed(&self.params)
+        } else {
+            ctp::buggy(&self.params)
+        }
+    }
+}
+
 /// Runs case study III and ranks the report-timer intervals of the four
 /// source nodes (pooled, as in the paper's 95-sample table).
 ///
@@ -482,25 +616,6 @@ pub fn run_case3(config: &Case3Config) -> Result<CaseResult, Box<dyn Error>> {
     run_case3_traced(config).map(|(result, _)| result)
 }
 
-/// Emulates case study III: all CTP nodes on the paper's topology,
-/// returning one trace per node in id order.
-fn case3_emulate(config: &Case3Config) -> Result<Vec<Trace>, Box<dyn Error>> {
-    let program = if config.use_fixed {
-        ctp::fixed(&config.params)?
-    } else {
-        ctp::buggy(&config.params)?
-    };
-    let mut sim = netsim::NetSim::new(ctp::topology()?, config.seed);
-    for id in 0..ctp::NODE_COUNT {
-        sim.add_node(program.clone(), ctp::node_config(id, config.seed))?;
-    }
-    let mut recorders: Vec<Recorder> = (0..ctp::NODE_COUNT)
-        .map(|_| Recorder::new(program.len()))
-        .collect();
-    sim.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorders)?;
-    Ok(recorders.into_iter().map(Recorder::into_trace).collect())
-}
-
 /// Mines case study III from its recorded traces (one per node, in node-id
 /// order); shared by [`run_case3`] and store-replayed re-mining.
 ///
@@ -509,46 +624,8 @@ fn case3_emulate(config: &Case3Config) -> Result<Vec<Trace>, Box<dyn Error>> {
 /// Fails on a wrong trace count; propagates assembly, extraction and
 /// pipeline errors.
 pub fn mine_case3(config: &Case3Config, traces: &[Trace]) -> Result<CaseResult, Box<dyn Error>> {
-    if traces.len() != ctp::NODE_COUNT as usize {
-        return Err(format!(
-            "case III expects {} node traces, got {}",
-            ctp::NODE_COUNT,
-            traces.len()
-        )
-        .into());
-    }
-    // Re-assemble only to locate the ground-truth failure label;
-    // assembly is deterministic, so the label matches the recorded run.
-    let program = if config.use_fixed {
-        ctp::fixed(&config.params)?
-    } else {
-        ctp::buggy(&config.params)?
-    };
-    let fail_pc = program
-        .label("ctp_fail")
-        .ok_or("ctp program lacks the ctp_fail label")? as usize;
-    let trace_digest = chain_digest(traces.iter().map(Trace::digest));
-    let mut all_samples = SampleSet::empty();
-    let mut buggy = Vec::new();
-    for (id, trace) in traces.iter().enumerate() {
-        let node = id as u16;
-        if !ctp::SOURCES.contains(&node) {
-            continue;
-        }
-        let set = harvest_set(trace, irq::TIMER0, |seq, _| SampleIndex::NodeSeq {
-            node,
-            seq,
-        })?;
-        for (m, row) in set.meta.iter().zip(set.features.rows_iter()) {
-            if row[fail_pc] > 0.0 {
-                buggy.push(m.index);
-            }
-        }
-        all_samples.append(&set);
-    }
-    let sample_count = all_samples.len();
-    let report = config.detector.pipeline().rank_set(all_samples)?;
-    Ok(CaseResult::new(report, sample_count, buggy, trace_digest))
+    let program = config.program()?;
+    rank_case(config.detector, traces, harvest_case3(traces, &program)?)
 }
 
 /// Like [`run_case3`], but also hands back every node's recorded trace
@@ -558,7 +635,7 @@ pub fn mine_case3(config: &Case3Config, traces: &[Trace]) -> Result<CaseResult, 
 ///
 /// Propagates simulation, extraction and pipeline errors.
 pub fn run_case3_traced(config: &Case3Config) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> {
-    let traces = case3_emulate(config)?;
+    let traces = ctp::record(&config.program()?, config.seed, config.run_seconds)?;
     let result = mine_case3(config, &traces)?;
     Ok((result, traces))
 }
@@ -572,7 +649,9 @@ mod tests {
         for kind in DetectorKind::all(0.1) {
             let p = kind.pipeline();
             assert_eq!(p.detector_name(), kind.name());
+            assert_eq!(DetectorKind::from_name(kind.name(), 0.1), Some(kind));
         }
+        assert_eq!(DetectorKind::from_name("psychic", 0.1), None);
     }
 
     #[test]
@@ -640,29 +719,15 @@ pub fn run_fidelity(
     run_seconds: u64,
     seed: u64,
 ) -> Result<FidelityOutcome, Box<dyn Error>> {
-    let params = oscilloscope::OscilloscopeParams::with_period_ms(period_ms);
-    let program = oscilloscope::buggy(&params)?;
-    let mut node = Node::new(
-        program.clone(),
-        NodeConfig {
-            seed,
-            timing,
-            ..NodeConfig::default()
-        },
-    );
-    let mut recorder = Recorder::new(program.len());
-    node.run(run_seconds * CYCLES_PER_SECOND, &mut recorder)?;
-    let polluted = oscilloscope::parse_uart(node.uart())
-        .iter()
-        .filter(|p| p.polluted())
-        .count();
-    let trace = recorder.into_trace();
-    let set = harvest_set(&trace, irq::ADC, |seq, _| SampleIndex::Seq(seq))?;
-    let symptom_intervals = set
-        .meta
-        .iter()
-        .filter(|m| contains_nested_int(&trace, &m.interval, irq::ADC))
-        .count();
+    let program =
+        oscilloscope::buggy(&oscilloscope::OscilloscopeParams::with_period_ms(period_ms))?;
+    let config = NodeConfig {
+        seed,
+        timing,
+        ..NodeConfig::default()
+    };
+    let (trace, node) = oscilloscope::record(&program, config, run_seconds, None)?;
+    let (set, symptoms) = harvest_case1(std::slice::from_ref(&trace), IndexShape::Seq)?;
     let mut depth = 0usize;
     let mut any_preemption = false;
     for e in &trace.events {
@@ -678,8 +743,8 @@ pub fn run_fidelity(
         }
     }
     Ok(FidelityOutcome {
-        polluted_packets: polluted,
-        symptom_intervals,
+        polluted_packets: polluted_packets_of(&node),
+        symptom_intervals: symptoms.len(),
         intervals: set.len(),
         any_preemption,
     })
@@ -750,146 +815,18 @@ pub fn effort_summary(result: &CaseResult) -> EffortSummary {
 // unless we generate a variety of random interleaving scenarios")
 // ---------------------------------------------------------------------
 
-/// Builds a reusable per-seed campaign job for the case-I trigger
-/// experiment: one `run_seconds`-second run of the buggy Oscilloscope at
-/// sampling period `period_ms`, mined in isolation with an OC-SVM(ν).
-///
-/// The program is assembled once, up front; the returned closure only
-/// shares that immutable program, so `run_campaign` can drive it from any
-/// number of worker threads.
-///
-/// # Errors
-///
-/// Fails if the Oscilloscope program does not assemble.
-pub fn trigger_job(
-    period_ms: u32,
-    run_seconds: u64,
-    nu: f64,
-) -> Result<impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync, Box<dyn Error>> {
-    let job = trigger_job_traced(period_ms, run_seconds, nu)?;
-    Ok(move |seed: u64| job(seed).map(|(outcome, _)| outcome))
-}
-
-/// Like [`trigger_job`], but the returned closure also hands back the
-/// recorded trace so a campaign can persist it to a trace store.
-///
-/// # Errors
-///
-/// Fails if the Oscilloscope program does not assemble.
-#[allow(clippy::type_complexity)]
-pub fn trigger_job_traced(
-    period_ms: u32,
-    run_seconds: u64,
-    nu: f64,
-) -> Result<impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync, Box<dyn Error>>
-{
-    let params = oscilloscope::OscilloscopeParams::with_period_ms(period_ms);
-    let program = oscilloscope::buggy(&params)?;
-    Ok(move |seed: u64| {
-        let mut node = Node::new(
-            program.clone(),
-            NodeConfig {
-                seed,
-                ..NodeConfig::default()
-            },
-        );
-        let mut recorder = Recorder::new(program.len());
-        node.run(run_seconds * CYCLES_PER_SECOND, &mut recorder)
-            .map_err(|e| e.to_string())?;
-        let trace = recorder.into_trace();
-        let outcome = mine_trigger_trace(seed, &trace, nu)?;
-        Ok((outcome, vec![trace]))
-    })
-}
-
-/// Cycles emulated between supervisor checks in
-/// [`trigger_job_traced_ctx`]. Small enough that a watchdog cancellation
-/// or cycle-budget exhaustion is honored promptly, large enough that the
-/// checks cost nothing against real emulation work.
-const SUPERVISE_SLICE_CYCLES: u64 = 1_000_000;
-
-/// Like [`trigger_job_traced`], but cooperative with the supervised
-/// runner: the emulation advances in `SUPERVISE_SLICE_CYCLES` slices and
-/// checks the [`RunContext`] between slices, so a watchdog cancellation
-/// stops a runaway run mid-flight and an optional cycle budget caps how
-/// long the run may emulate. Slicing does not change the machine state —
-/// the recorded trace is bit-identical to a single `Node::run` call.
-///
-/// Machine faults and mining failures are deterministic for a given seed,
-/// so they surface as [`RunFailure::Fatal`] (retrying cannot help);
-/// budget/cancellation stops are [`RunFailure::TimedOut`].
-///
-/// # Errors
-///
-/// Fails if the Oscilloscope program does not assemble.
-#[allow(clippy::type_complexity)]
-pub fn trigger_job_traced_ctx(
-    period_ms: u32,
-    run_seconds: u64,
-    nu: f64,
-) -> Result<
-    impl Fn(&RunContext) -> Result<(RunOutcome, Vec<Trace>), RunFailure> + Send + Sync,
-    Box<dyn Error>,
-> {
-    let params = oscilloscope::OscilloscopeParams::with_period_ms(period_ms);
-    let program = oscilloscope::buggy(&params)?;
-    Ok(move |ctx: &RunContext| {
-        let seed = ctx.seed();
-        let limit = run_seconds * CYCLES_PER_SECOND;
-        let cap = ctx.cycle_budget().unwrap_or(u64::MAX).min(limit);
-        let mut node = Node::new(
-            program.clone(),
-            NodeConfig {
-                seed,
-                ..NodeConfig::default()
-            },
-        );
-        let mut recorder = Recorder::new(program.len());
-        loop {
-            if ctx.cancelled() {
-                return Err(RunFailure::TimedOut(format!(
-                    "cancelled by the watchdog at cycle {}",
-                    node.cycle()
-                )));
-            }
-            let next = node.cycle().saturating_add(SUPERVISE_SLICE_CYCLES).min(cap);
-            node.advance(next, &mut recorder)
-                .map_err(|e| RunFailure::Fatal(e.to_string()))?;
-            if node.cycle() >= cap || node.halted() {
-                break;
-            }
-        }
-        if cap < limit && !node.halted() {
-            return Err(RunFailure::TimedOut(format!(
-                "cycle budget {cap} exhausted before the {limit}-cycle run finished"
-            )));
-        }
-        node.finish(&mut recorder);
-        let trace = recorder.into_trace();
-        let outcome = mine_trigger_trace(seed, &trace, nu).map_err(RunFailure::Fatal)?;
-        Ok((outcome, vec![trace]))
-    })
-}
-
 /// Mines one recorded trigger-run trace into its campaign outcome — the
-/// single code path behind both the live [`trigger_job`] and re-mining a
-/// stored corpus, which is what makes store-based re-ranking bit-identical
-/// to the live campaign.
+/// single code path behind both the live trigger job
+/// ([`crate::Mode::Trigger`]) and re-mining a stored corpus, which is what
+/// makes store-based re-ranking bit-identical to the live campaign. A
+/// clean run has no symptom to rank, so the detector is skipped.
 ///
 /// # Errors
 ///
 /// Extraction and pipeline failures are reported as strings, matching the
 /// campaign job contract.
 pub fn mine_trigger_trace(seed: u64, trace: &Trace, nu: f64) -> Result<RunOutcome, String> {
-    let trace_digest = trace.digest();
-    let set =
-        harvest_set(trace, irq::ADC, |seq, _| SampleIndex::Seq(seq)).map_err(|e| e.to_string())?;
-    let buggy: Vec<SampleIndex> = set
-        .meta
-        .iter()
-        .filter(|m| contains_nested_int(trace, &m.interval, irq::ADC))
-        .map(|m| m.index)
-        .collect();
+    let (set, buggy) = harvest_case1(std::slice::from_ref(trace), IndexShape::Seq)?;
     let sample_count = set.len();
     let mut buggy_ranks: Vec<usize> = if buggy.is_empty() {
         Vec::new()
@@ -910,109 +847,9 @@ pub fn mine_trigger_trace(seed: u64, trace: &Trace, nu: f64) -> Result<RunOutcom
         } else {
             Verdict::Triggered
         },
-        trace_digest: format!("{trace_digest:016x}"),
+        trace_digest: format!("{:016x}", trace.digest()),
         wall_time_ms: 0,
     })
-}
-
-/// Runs `runs` independent case-I testing runs (sampling period
-/// `period_ms`, 10 s each, seeds `base_seed..base_seed + runs`) and mines
-/// each in isolation — measuring both the per-run trigger probability of
-/// the race and the per-run mining success. Work is spread over
-/// `options.threads` workers; the result is deterministic regardless of
-/// the thread count.
-///
-/// # Errors
-///
-/// Fails if the Oscilloscope program does not assemble; per-seed VM,
-/// extraction and pipeline failures land in the result's `errors` list.
-pub fn run_trigger_campaign(
-    period_ms: u32,
-    runs: u64,
-    base_seed: u64,
-    nu: f64,
-    options: CampaignOptions,
-) -> Result<CampaignResult, Box<dyn Error>> {
-    let job = trigger_job(period_ms, 10, nu)?;
-    let seeds: Vec<u64> = (0..runs).map(|i| base_seed + i).collect();
-    Ok(run_campaign(&seeds, options, job))
-}
-
-/// Wraps case study I as a per-seed campaign job: each seed reruns the
-/// whole case (every sampling period) with the configuration's seed
-/// replaced.
-pub fn case1_job(config: Case1Config) -> impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case1(&c)
-            .map(|r| r.to_outcome(seed))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Wraps case study II (CTP in-network aggregation) as a per-seed
-/// campaign job.
-pub fn case2_job(config: Case2Config) -> impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case2(&c)
-            .map(|r| r.to_outcome(seed))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Wraps case study III (packet forwarder overflow) as a per-seed
-/// campaign job.
-pub fn case3_job(config: Case3Config) -> impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case3(&c)
-            .map(|r| r.to_outcome(seed))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Trace-returning variant of [`case1_job`], for campaigns that persist
-/// their runs to a trace store.
-pub fn case1_job_traced(
-    config: Case1Config,
-) -> impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case1_traced(&c)
-            .map(|(r, traces)| (r.to_outcome(seed), traces))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Trace-returning variant of [`case2_job`].
-pub fn case2_job_traced(
-    config: Case2Config,
-) -> impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case2_traced(&c)
-            .map(|(r, traces)| (r.to_outcome(seed), traces))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Trace-returning variant of [`case3_job`].
-pub fn case3_job_traced(
-    config: Case3Config,
-) -> impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case3_traced(&c)
-            .map(|(r, traces)| (r.to_outcome(seed), traces))
-            .map_err(|e| e.to_string())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1059,12 +896,12 @@ impl Default for Case1MultiConfig {
 pub fn run_case1_multinode(config: &Case1MultiConfig) -> Result<CaseResult, Box<dyn Error>> {
     let params = oscilloscope::OscilloscopeParams::with_period_ms(config.period_ms);
     let sensor_program = oscilloscope::buggy(&params)?;
-    let sink_program = crate::forwarder::sink_program()?;
+    let sink_program = forwarder::sink_program()?;
     let node_count = config.sensors + 1;
     let topo = netsim::Topology::star(node_count, netsim::LinkConfig::default())?;
     let mut sim = netsim::NetSim::new(topo, config.seed);
     sim.add_node(
-        sink_program.clone(),
+        sink_program,
         NodeConfig {
             node_id: 0,
             seed: config.seed,
@@ -1081,32 +918,10 @@ pub fn run_case1_multinode(config: &Case1MultiConfig) -> Result<CaseResult, Box<
             },
         )?;
     }
-    let mut recorders: Vec<Recorder> = (0..node_count)
-        .map(|id| {
-            if id == 0 {
-                Recorder::new(sink_program.len())
-            } else {
-                Recorder::new(sensor_program.len())
-            }
-        })
-        .collect();
-    sim.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorders)?;
-
-    let mut all_samples = SampleSet::empty();
-    let mut buggy = Vec::new();
-    let traces: Vec<Trace> = recorders.into_iter().map(Recorder::into_trace).collect();
-    let trace_digest = chain_digest(traces.iter().map(Trace::digest));
-    for (id, trace) in traces.iter().enumerate().skip(1) {
-        let node = id as u16;
-        let set = harvest_set(trace, irq::ADC, |seq, _| SampleIndex::NodeSeq { node, seq })?;
-        for m in &set.meta {
-            if contains_nested_int(trace, &m.interval, irq::ADC) {
-                buggy.push(m.index);
-            }
-        }
-        all_samples.append(&set);
-    }
-    let sample_count = all_samples.len();
-    let report = config.detector.pipeline().rank_set(all_samples)?;
-    Ok(CaseResult::new(report, sample_count, buggy, trace_digest))
+    let traces = record_sim(sim, config.run_seconds)?;
+    rank_case(
+        config.detector,
+        &traces,
+        harvest_case1(&traces, IndexShape::NodeSeq)?,
+    )
 }

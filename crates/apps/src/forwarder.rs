@@ -12,6 +12,10 @@
 //! The *fixed* relay holds one pending packet and transmits it from the
 //! send-done handler, closing the loss window.
 
+use crate::experiments::record_sim;
+use netsim::{LinkConfig, NetSim, Topology};
+use sentomist_trace::Trace;
+use std::error::Error;
 use std::sync::Arc;
 use tinyvm::asm::AsmError;
 use tinyvm::devices::{NodeConfig, RadioConfig};
@@ -277,10 +281,40 @@ on_rx:
     .map(Arc::new)
 }
 
+/// Records the three-node chain — sink, `relay`, and a source driven by
+/// `params` — for `run_seconds` simulated seconds: the one emulation entry
+/// point of case study II and the hunt's forwarder scenarios. `downlink`
+/// joins sink and relay, `uplink` relay and source (case II passes its
+/// lossy link twice); node seeds derive from `seed`. Returns the traces in
+/// node-id order.
+///
+/// # Errors
+///
+/// Assembly, topology and simulation errors.
+pub fn record_chain(
+    relay: &Arc<Program>,
+    params: &ForwarderParams,
+    downlink: LinkConfig,
+    uplink: LinkConfig,
+    seed: u64,
+    run_seconds: u64,
+) -> Result<Vec<Trace>, Box<dyn Error>> {
+    let mut sim = NetSim::new(Topology::chain_with(&[downlink, uplink])?, seed);
+    sim.add_node(sink_program()?, node_config(nodes::SINK, seed))?;
+    sim.add_node(
+        Arc::clone(relay),
+        node_config(nodes::RELAY, seed.wrapping_add(1)),
+    )?;
+    sim.add_node(
+        source_program(params)?,
+        node_config(nodes::SOURCE, seed.wrapping_add(2)),
+    )?;
+    Ok(record_sim(sim, run_seconds)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{LinkConfig, NetSim, Topology};
     use tinyvm::NullSink;
 
     fn chain() -> Topology {

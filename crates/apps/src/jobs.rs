@@ -22,11 +22,11 @@
 //!   resolve mode → sweep the store → fold stored errors → render the
 //!   document), returning the exact bytes every front end must emit.
 
-use crate::experiments::{
-    case1_job_traced, case2_job_traced, case3_job_traced, mine_case1, mine_case2, mine_case3,
-    mine_trigger_trace, trigger_job_traced, trigger_job_traced_ctx,
+use crate::experiments::{chain_digest, mine_case1, mine_case2, mine_case3, mine_trigger_trace};
+use crate::{
+    ctp, forwarder, oscilloscope, run_case1_traced, run_case2_traced, run_case3_traced,
+    Case1Config, Case2Config, Case3Config, CaseResult,
 };
-use crate::{ctp, forwarder, oscilloscope, Case1Config, Case2Config, Case3Config};
 use sentomist_core::campaign::{CampaignResult, FailureKind, RunError, RunOutcome};
 use sentomist_core::supervise::{RunContext, RunFailure};
 use sentomist_core::{mine_store_with, MineOptions, QuarantinedRun};
@@ -34,6 +34,7 @@ use sentomist_trace::Trace;
 use sentomist_tracestore::{CampaignManifest, TraceStore};
 use serde::{Serialize, Value};
 use std::error::Error;
+use tinyvm::devices::NodeConfig;
 use tinyvm::Program;
 
 /// A typed, `Send + Sync` job-layer error: what went wrong resolving or
@@ -76,10 +77,9 @@ impl From<sentomist_tracestore::StoreError> for JobError {
 
 /// A plain per-seed campaign job: seed in, outcome out.
 pub type CampaignJob = Box<dyn Fn(u64) -> Result<RunOutcome, String> + Send + Sync>;
-/// A per-seed job that also hands back the run's recorded traces.
-pub type TracedJob = Box<dyn Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync>;
-/// A supervised traced job: takes a [`RunContext`] so the watchdog can
-/// cancel it cooperatively.
+/// A supervised per-seed job that also hands back the run's recorded
+/// traces: takes a [`RunContext`] so the watchdog can cancel it
+/// cooperatively.
 pub type SupervisedTracedJob =
     Box<dyn Fn(&RunContext) -> Result<(RunOutcome, Vec<Trace>), RunFailure> + Send + Sync>;
 /// The mining stage alone, applied to a stored run's decoded traces.
@@ -232,29 +232,12 @@ impl Mode {
         }
     }
 
-    /// The per-seed emulate-and-mine job that also hands back the run's
-    /// recorded traces.
-    ///
-    /// # Errors
-    ///
-    /// Program assembly failures while building the job.
-    pub fn traced_job(self) -> Result<TracedJob, JobError> {
-        Ok(match self {
-            Mode::Trigger {
-                period,
-                seconds,
-                nu,
-            } => Box::new(trigger_job_traced(period, seconds, nu)?),
-            Mode::Case1 => Box::new(case1_job_traced(Case1Config::default())),
-            Mode::Case2 => Box::new(case2_job_traced(Case2Config::default())),
-            Mode::Case3 => Box::new(case3_job_traced(Case3Config::default())),
-        })
-    }
-
-    /// The supervised per-seed job: takes a [`RunContext`] so the
-    /// watchdog can cancel it and (trigger mode) a cycle budget can cap
-    /// emulation. Trigger mode is fully cooperative; the case studies
-    /// run to completion and report their errors as retryable.
+    /// The per-seed emulate-and-mine job, supervised: it takes a
+    /// [`RunContext`] and hands back the run's recorded traces with its
+    /// outcome. Trigger mode is fully cooperative: the emulation checks
+    /// the context between slices, so the watchdog can cancel it and a
+    /// cycle budget caps it. The case studies run to completion and
+    /// report their errors as retryable.
     ///
     /// # Errors
     ///
@@ -265,57 +248,85 @@ impl Mode {
                 period,
                 seconds,
                 nu,
-            } => Box::new(trigger_job_traced_ctx(period, seconds, nu)?),
-            _ => {
-                let traced = self.traced_job()?;
-                Box::new(move |ctx: &RunContext| traced(ctx.seed()).map_err(RunFailure::Transient))
+            } => {
+                let program =
+                    oscilloscope::buggy(&oscilloscope::OscilloscopeParams::with_period_ms(period))
+                        .map_err(|e| JobError(e.to_string()))?;
+                Box::new(move |ctx: &RunContext| {
+                    let config = NodeConfig {
+                        seed: ctx.seed(),
+                        ..NodeConfig::default()
+                    };
+                    let (trace, _) = oscilloscope::record(&program, config, seconds, Some(ctx))?;
+                    let outcome =
+                        mine_trigger_trace(ctx.seed(), &trace, nu).map_err(RunFailure::Fatal)?;
+                    Ok((outcome, vec![trace]))
+                })
             }
+            Mode::Case1 => case_job(|seed| {
+                run_case1_traced(&Case1Config {
+                    seed,
+                    ..Case1Config::default()
+                })
+            }),
+            Mode::Case2 => case_job(|seed| {
+                run_case2_traced(&Case2Config {
+                    seed,
+                    ..Case2Config::default()
+                })
+            }),
+            Mode::Case3 => case_job(|seed| {
+                run_case3_traced(&Case3Config {
+                    seed,
+                    ..Case3Config::default()
+                })
+            }),
         })
     }
 
-    /// The per-seed plain job (traces dropped after mining).
+    /// The per-seed plain job: [`Mode::supervised_traced_job`] under a
+    /// fresh [`RunContext`] with no cycle budget, traces dropped after
+    /// mining.
     ///
     /// # Errors
     ///
     /// Program assembly failures while building the job.
     pub fn job(self) -> Result<CampaignJob, JobError> {
-        let traced = self.traced_job()?;
+        let traced = self.supervised_traced_job()?;
         Ok(Box::new(move |seed| {
-            traced(seed).map(|(outcome, _)| outcome)
+            traced(&RunContext::new(seed, 1, None))
+                .map(|(outcome, _)| outcome)
+                .map_err(|failure| failure.message().to_string())
         }))
     }
 
     /// The mining stage alone, applied to a stored run's decoded traces —
-    /// the same code path [`Mode::traced_job`] runs after emulating.
+    /// the same code path [`Mode::supervised_traced_job`] runs after
+    /// emulating.
     pub fn miner(self) -> StoreMiner {
+        fn outcome(
+            seed: u64,
+            mined: Result<CaseResult, Box<dyn Error>>,
+        ) -> Result<RunOutcome, String> {
+            mined.map(|r| r.to_outcome(seed)).map_err(|e| e.to_string())
+        }
         match self {
-            Mode::Trigger { nu, .. } => Box::new(move |seed, traces: &[Trace]| {
-                let trace = match traces {
-                    [t] => t,
-                    _ => {
-                        return Err(format!(
-                            "trigger run stores one trace, found {}",
-                            traces.len()
-                        ))
-                    }
-                };
-                mine_trigger_trace(seed, trace, nu)
+            Mode::Trigger { nu, .. } => Box::new(move |seed, traces: &[Trace]| match traces {
+                [trace] => mine_trigger_trace(seed, trace, nu),
+                _ => Err(format!(
+                    "trigger run stores one trace, found {}",
+                    traces.len()
+                )),
             }),
-            Mode::Case1 => Box::new(|seed, traces| {
-                mine_case1(&Case1Config::default(), traces)
-                    .map(|r| r.to_outcome(seed))
-                    .map_err(|e| e.to_string())
-            }),
-            Mode::Case2 => Box::new(|seed, traces| {
-                mine_case2(&Case2Config::default(), traces)
-                    .map(|r| r.to_outcome(seed))
-                    .map_err(|e| e.to_string())
-            }),
-            Mode::Case3 => Box::new(|seed, traces| {
-                mine_case3(&Case3Config::default(), traces)
-                    .map(|r| r.to_outcome(seed))
-                    .map_err(|e| e.to_string())
-            }),
+            Mode::Case1 => {
+                Box::new(|seed, traces| outcome(seed, mine_case1(&Case1Config::default(), traces)))
+            }
+            Mode::Case2 => {
+                Box::new(|seed, traces| outcome(seed, mine_case2(&Case2Config::default(), traces)))
+            }
+            Mode::Case3 => {
+                Box::new(|seed, traces| outcome(seed, mine_case3(&Case3Config::default(), traces)))
+            }
         }
     }
 
@@ -328,13 +339,6 @@ impl Mode {
     pub fn program_digest(self) -> Result<u64, JobError> {
         fn one(p: &Program) -> u64 {
             fnv64(tinyvm::disassemble(p).as_bytes())
-        }
-        fn chain(digests: impl IntoIterator<Item = u64>) -> u64 {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for d in digests {
-                h = (h ^ d).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
         }
         let asm = |e: tinyvm::asm::AsmError| JobError(e.to_string());
         Ok(match self {
@@ -351,11 +355,11 @@ impl Mode {
                     )
                     .map_err(asm)?));
                 }
-                chain(digests)
+                chain_digest(digests)
             }
             Mode::Case2 => {
                 let config = Case2Config::default();
-                chain([
+                chain_digest([
                     one(&*forwarder::sink_program().map_err(asm)?),
                     one(&*forwarder::relay_program_buggy().map_err(asm)?),
                     one(&*forwarder::source_program(&config.params).map_err(asm)?),
@@ -366,6 +370,20 @@ impl Mode {
     }
 }
 
+/// Wraps a case study as a supervised job: each seed reruns the whole
+/// case with the configuration's seed replaced.
+fn case_job<F>(run: F) -> SupervisedTracedJob
+where
+    F: Fn(u64) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> + Send + Sync + 'static,
+{
+    Box::new(move |ctx: &RunContext| {
+        let seed = ctx.seed();
+        run(seed)
+            .map(|(result, traces)| (result.to_outcome(seed), traces))
+            .map_err(|e| RunFailure::Transient(e.to_string()))
+    })
+}
+
 /// Resolves a bundled case-study program by name — the shared resolver
 /// behind `sentomist lint --app NAME` and the daemon's lint jobs.
 ///
@@ -373,35 +391,20 @@ impl Mode {
 ///
 /// Unknown app name; assembly failure.
 pub fn bundled_program(name: &str, fixed: bool) -> Result<std::sync::Arc<Program>, JobError> {
-    let asm = |e: tinyvm::asm::AsmError| JobError(e.to_string());
-    Ok(match name {
-        "oscilloscope" => {
-            if fixed {
-                oscilloscope::fixed(&Default::default()).map_err(asm)?
-            } else {
-                oscilloscope::buggy(&Default::default()).map_err(asm)?
-            }
-        }
-        "forwarder" => {
-            if fixed {
-                forwarder::relay_program_fixed().map_err(asm)?
-            } else {
-                forwarder::relay_program_buggy().map_err(asm)?
-            }
-        }
-        "ctp" => {
-            if fixed {
-                ctp::fixed(&Default::default()).map_err(asm)?
-            } else {
-                ctp::buggy(&Default::default()).map_err(asm)?
-            }
-        }
-        other => {
+    let program = match (name, fixed) {
+        ("oscilloscope", false) => oscilloscope::buggy(&Default::default()),
+        ("oscilloscope", true) => oscilloscope::fixed(&Default::default()),
+        ("forwarder", false) => forwarder::relay_program_buggy(),
+        ("forwarder", true) => forwarder::relay_program_fixed(),
+        ("ctp", false) => ctp::buggy(&Default::default()),
+        ("ctp", true) => ctp::fixed(&Default::default()),
+        (other, _) => {
             return Err(JobError(format!(
                 "unknown bundled app `{other}` (oscilloscope|forwarder|ctp)"
             )))
         }
-    })
+    };
+    program.map_err(|e| JobError(e.to_string()))
 }
 
 /// The default slice seeds of a program: every statically flagged pc
@@ -420,23 +423,21 @@ pub fn default_slice_seeds(program: &Program) -> Vec<u16> {
     seeds
 }
 
-/// Builds the slice report for a bundled case-study app: seeds from
-/// `pcs`, or — when empty — the program's [`default_slice_seeds`]. A
-/// program that lints clean and gets no explicit seeds yields the empty
-/// report rather than an error: "nothing flagged, nothing sliced" is the
-/// fixed variants' expected answer, not a failure.
+/// Builds the slice report of `program`: seeds from `pcs`, or — when
+/// empty — the program's [`default_slice_seeds`]. A program that lints
+/// clean and gets no explicit seeds yields the empty report rather than
+/// an error: "nothing flagged, nothing sliced" is the fixed variants'
+/// expected answer, not a failure.
 ///
 /// # Errors
 ///
-/// Unknown app, assembly failure, or a slice error for explicit seeds.
-pub fn bundled_slice_report(
-    app: &str,
-    fixed: bool,
+/// A slice error for explicit seeds.
+pub fn slice_report_for(
+    program: &Program,
     pcs: &[u16],
 ) -> Result<staticlint::SliceReport, JobError> {
-    let program = bundled_program(app, fixed)?;
     let seeds = if pcs.is_empty() {
-        default_slice_seeds(&program)
+        default_slice_seeds(program)
     } else {
         pcs.to_vec()
     };
@@ -452,7 +453,20 @@ pub fn bundled_slice_report(
             },
         });
     }
-    staticlint::slice_report(&program, &seeds).map_err(|e| JobError(e.to_string()))
+    staticlint::slice_report(program, &seeds).map_err(|e| JobError(e.to_string()))
+}
+
+/// [`slice_report_for`] a bundled case-study app.
+///
+/// # Errors
+///
+/// Unknown app, assembly failure, or a slice error for explicit seeds.
+pub fn bundled_slice_report(
+    app: &str,
+    fixed: bool,
+    pcs: &[u16],
+) -> Result<staticlint::SliceReport, JobError> {
+    slice_report_for(&*bundled_program(app, fixed)?, pcs)
 }
 
 /// The serialized slice document: pretty-printed JSON plus a trailing

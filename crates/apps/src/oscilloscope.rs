@@ -12,8 +12,13 @@
 //! The *fixed* variant snapshots the three readings into a separate send
 //! buffer at posting time, which closes the race.
 
+use crate::experiments::CYCLES_PER_SECOND;
+use sentomist_core::supervise::{RunContext, RunFailure};
+use sentomist_trace::{Recorder, Trace};
 use std::sync::Arc;
 use tinyvm::asm::AsmError;
+use tinyvm::devices::NodeConfig;
+use tinyvm::node::Node;
 use tinyvm::Program;
 
 /// Marker word the application writes to the UART before logging the three
@@ -223,6 +228,66 @@ pub fn fixed(params: &OscilloscopeParams) -> Result<Arc<Program>, AsmError> {
     tinyvm::assemble(&source(params, false)).map(Arc::new)
 }
 
+/// Cycles emulated between supervisor checks in [`record`]. Small enough
+/// that a watchdog cancellation or cycle-budget exhaustion is honored
+/// promptly, large enough that the checks cost nothing against real
+/// emulation work.
+const SLICE_CYCLES: u64 = 1_000_000;
+
+/// Records one node running `program` for `run_seconds` simulated
+/// seconds — the one emulation entry point of case study I: its sampling
+/// periods, the trigger job, the fidelity study (via
+/// [`NodeConfig::timing`]) and the hunt's scenarios (via
+/// [`NodeConfig::adc`]). Returns the trace and the node, whose UART log
+/// carries the packet oracle.
+///
+/// The emulation advances in `SLICE_CYCLES` slices. With a `ctx`, the
+/// [`RunContext`] is checked between slices, so a watchdog cancellation
+/// stops a runaway run mid-flight and its cycle budget caps how long the
+/// run may emulate. Slicing does not change the machine state: the trace
+/// is bit-identical to a single `Node::run` call.
+///
+/// # Errors
+///
+/// Machine faults are deterministic for a given seed, so they are
+/// [`RunFailure::Fatal`] (retrying cannot help); budget and cancellation
+/// stops are [`RunFailure::TimedOut`].
+pub fn record(
+    program: &Arc<Program>,
+    config: NodeConfig,
+    run_seconds: u64,
+    ctx: Option<&RunContext>,
+) -> Result<(Trace, Node), RunFailure> {
+    let limit = run_seconds * CYCLES_PER_SECOND;
+    let cap = ctx
+        .and_then(RunContext::cycle_budget)
+        .unwrap_or(u64::MAX)
+        .min(limit);
+    let mut node = Node::new(Arc::clone(program), config);
+    let mut recorder = Recorder::new(program.len());
+    loop {
+        if ctx.is_some_and(RunContext::cancelled) {
+            return Err(RunFailure::TimedOut(format!(
+                "cancelled by the watchdog at cycle {}",
+                node.cycle()
+            )));
+        }
+        let next = node.cycle().saturating_add(SLICE_CYCLES).min(cap);
+        node.advance(next, &mut recorder)
+            .map_err(|e| RunFailure::Fatal(e.to_string()))?;
+        if node.cycle() >= cap || node.halted() {
+            break;
+        }
+    }
+    if cap < limit && !node.halted() {
+        return Err(RunFailure::TimedOut(format!(
+            "cycle budget {cap} exhausted before the {limit}-cycle run finished"
+        )));
+    }
+    node.finish(&mut recorder);
+    Ok((recorder.into_trace(), node))
+}
+
 /// A packet reconstructed from the node's UART log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedPacket {
@@ -266,8 +331,6 @@ pub fn parse_uart(uart: &[u16]) -> Vec<LoggedPacket> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tinyvm::devices::NodeConfig;
-    use tinyvm::node::Node;
     use tinyvm::NullSink;
 
     #[test]

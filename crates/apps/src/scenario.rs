@@ -17,22 +17,19 @@
 //! persist traces to a store between the steps.
 
 use crate::experiments::{
-    chain_digest, contains_nested_int, CaseResult, DetectorKind, CYCLES_PER_SECOND,
+    chain_digest, harvest_case1, harvest_case2, harvest_case3, CaseResult, DetectorKind, IndexShape,
 };
 use crate::{ctp, forwarder, oscilloscope};
-use netsim::{LinkConfig, NetSim, Topology};
+use netsim::LinkConfig;
 use sentomist_core::hunt::{check_invariants, Evidence, InvariantPolicy, IterationRecord};
 use sentomist_core::supervise::splitmix64;
 use sentomist_core::{
-    causal_chain, corroborate_with_chain, harvest_set, localize_set, CausalChain, SampleIndex,
-    SampleSet,
+    causal_chain, corroborate_with_chain, localize_set, CausalChain, SampleIndex,
 };
-use sentomist_trace::{Recorder, Trace};
+use sentomist_trace::Trace;
 use staticlint::lint;
 use std::sync::Arc;
 use tinyvm::devices::{AdcConfig, NodeConfig};
-use tinyvm::isa::irq;
-use tinyvm::node::Node;
 use tinyvm::Program;
 
 /// z-score threshold for localizing a flagged interval (the CLI's
@@ -320,72 +317,33 @@ pub fn scenario_program(s: &HuntScenario) -> Result<Arc<Program>, String> {
 ///
 /// Assembly and emulation faults, rendered as text.
 pub fn emulate_scenario(s: &HuntScenario) -> Result<Vec<Trace>, String> {
-    let cycles = s.run_seconds * CYCLES_PER_SECOND;
+    let program = scenario_program(s)?;
     match &s.params {
         ScenarioParams::Oscilloscope { adc, .. } => {
-            let program = scenario_program(s)?;
-            let mut node = Node::new(
-                program.clone(),
-                NodeConfig {
-                    seed: s.node_seed,
-                    adc: *adc,
-                    ..NodeConfig::default()
-                },
-            );
-            let mut recorder = Recorder::new(program.len());
-            node.run(cycles, &mut recorder)
+            let config = NodeConfig {
+                seed: s.node_seed,
+                adc: *adc,
+                ..NodeConfig::default()
+            };
+            let (trace, _) = oscilloscope::record(&program, config, s.run_seconds, None)
                 .map_err(|e| format!("oscilloscope emulation: {e}"))?;
-            Ok(vec![recorder.into_trace()])
+            Ok(vec![trace])
         }
         ScenarioParams::Forwarder {
             params,
             downlink,
             uplink,
-        } => {
-            let relay = scenario_program(s)?;
-            let topo = Topology::chain_with(&[*downlink, *uplink])
-                .map_err(|e| format!("forwarder topology: {e}"))?;
-            let mut sim = NetSim::new(topo, s.node_seed);
-            let fail = |e| format!("forwarder simulation: {e}");
-            sim.add_node(
-                forwarder::sink_program().map_err(|e| fail(format!("{e}")))?,
-                forwarder::node_config(forwarder::nodes::SINK, s.node_seed),
-            )
-            .map_err(|e| fail(format!("{e}")))?;
-            sim.add_node(
-                relay.clone(),
-                forwarder::node_config(forwarder::nodes::RELAY, s.node_seed + 1),
-            )
-            .map_err(|e| fail(format!("{e}")))?;
-            sim.add_node(
-                forwarder::source_program(params).map_err(|e| fail(format!("{e}")))?,
-                forwarder::node_config(forwarder::nodes::SOURCE, s.node_seed + 2),
-            )
-            .map_err(|e| fail(format!("{e}")))?;
-            let mut recorders = vec![
-                Recorder::new(sim.node(0).program().len()),
-                Recorder::new(relay.len()),
-                Recorder::new(sim.node(2).program().len()),
-            ];
-            sim.run(cycles, &mut recorders)
-                .map_err(|e| fail(format!("{e}")))?;
-            Ok(recorders.into_iter().map(Recorder::into_trace).collect())
-        }
-        ScenarioParams::Ctp { .. } => {
-            let program = scenario_program(s)?;
-            let topo = ctp::topology().map_err(|e| format!("ctp topology: {e}"))?;
-            let mut sim = NetSim::new(topo, s.node_seed);
-            for id in 0..ctp::NODE_COUNT {
-                sim.add_node(program.clone(), ctp::node_config(id, s.node_seed))
-                    .map_err(|e| format!("ctp node {id}: {e}"))?;
-            }
-            let mut recorders: Vec<Recorder> = (0..ctp::NODE_COUNT)
-                .map(|_| Recorder::new(program.len()))
-                .collect();
-            sim.run(cycles, &mut recorders)
-                .map_err(|e| format!("ctp simulation: {e}"))?;
-            Ok(recorders.into_iter().map(Recorder::into_trace).collect())
-        }
+        } => forwarder::record_chain(
+            &program,
+            params,
+            *downlink,
+            *uplink,
+            s.node_seed,
+            s.run_seconds,
+        )
+        .map_err(|e| format!("forwarder simulation: {e}")),
+        ScenarioParams::Ctp { .. } => ctp::record(&program, s.node_seed, s.run_seconds)
+            .map_err(|e| format!("ctp simulation: {e}")),
     }
 }
 
@@ -436,77 +394,9 @@ fn chain_covers_routine(chain: &CausalChain, program: &Program, routine: &str) -
 pub fn mine_scenario(s: &HuntScenario, traces: &[Trace]) -> Result<MinedScenario, String> {
     let program = scenario_program(s)?;
     let (set, buggy) = match &s.params {
-        ScenarioParams::Oscilloscope { .. } => {
-            let [trace] = traces else {
-                return Err(format!(
-                    "oscilloscope scenario expects 1 trace, got {}",
-                    traces.len()
-                ));
-            };
-            let set = harvest_set(trace, irq::ADC, |seq, _| SampleIndex::Seq(seq))
-                .map_err(|e| format!("harvesting ADC intervals: {e}"))?;
-            let buggy: Vec<SampleIndex> = set
-                .meta
-                .iter()
-                .filter(|m| contains_nested_int(trace, &m.interval, irq::ADC))
-                .map(|m| m.index)
-                .collect();
-            (set, buggy)
-        }
-        ScenarioParams::Forwarder { .. } => {
-            if traces.len() != 3 {
-                return Err(format!(
-                    "forwarder scenario expects 3 traces, got {}",
-                    traces.len()
-                ));
-            }
-            let drop_pc = program.label("fwd_drop");
-            let set = harvest_set(&traces[1], irq::RX, |seq, _| SampleIndex::Seq(seq))
-                .map_err(|e| format!("harvesting relay RX intervals: {e}"))?;
-            let buggy: Vec<SampleIndex> = match drop_pc {
-                Some(pc) => set
-                    .meta
-                    .iter()
-                    .zip(set.features.rows_iter())
-                    .filter(|(_, row)| row[pc as usize] > 0.0)
-                    .map(|(m, _)| m.index)
-                    .collect(),
-                None => Vec::new(), // the fixed relay has no drop branch
-            };
-            (set, buggy)
-        }
-        ScenarioParams::Ctp { .. } => {
-            if traces.len() != ctp::NODE_COUNT as usize {
-                return Err(format!(
-                    "ctp scenario expects {} traces, got {}",
-                    ctp::NODE_COUNT,
-                    traces.len()
-                ));
-            }
-            let fail_pc = program
-                .label("ctp_fail")
-                .ok_or("ctp program lacks the ctp_fail label")? as usize;
-            let mut all = SampleSet::empty();
-            let mut buggy = Vec::new();
-            for (id, trace) in traces.iter().enumerate() {
-                let node = id as u16;
-                if !ctp::SOURCES.contains(&node) {
-                    continue;
-                }
-                let set = harvest_set(trace, irq::TIMER0, |seq, _| SampleIndex::NodeSeq {
-                    node,
-                    seq,
-                })
-                .map_err(|e| format!("harvesting node {node} report intervals: {e}"))?;
-                for (m, row) in set.meta.iter().zip(set.features.rows_iter()) {
-                    if row[fail_pc] > 0.0 {
-                        buggy.push(m.index);
-                    }
-                }
-                all.append(&set);
-            }
-            (all, buggy)
-        }
+        ScenarioParams::Oscilloscope { .. } => harvest_case1(traces, IndexShape::Seq)?,
+        ScenarioParams::Forwarder { .. } => harvest_case2(traces, &program)?,
+        ScenarioParams::Ctp { .. } => harvest_case3(traces, &program)?,
     };
     // The repaired variants make the oracle events harmless by
     // construction (no pollution, failure handled), so a fixed run has

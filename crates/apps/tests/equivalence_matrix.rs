@@ -11,12 +11,23 @@
 //! *intentional* numeric change, run with
 //! `EQUIV_CAPTURE=1 cargo test -p sentomist-apps --test equivalence_matrix -- --nocapture`
 //! and paste the printed values.
+//!
+//! The later pins (multi-node case I, the emulator-fidelity outcomes and
+//! the supervised trigger path) guard paths that share their emulation
+//! and harvest code with the case studies; they were captured from the
+//! code as it stood before that code was merged.
 
+use sentomist_apps::experiments::{
+    run_case1_multinode, run_fidelity, Case1MultiConfig, FidelityOutcome,
+};
 use sentomist_apps::{
-    run_case1, run_case2, run_case3, trigger_job, Case1Config, Case2Config, Case3Config, CaseResult,
+    run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config, CaseResult, Mode,
 };
 use sentomist_core::campaign::{run_campaign, CampaignOptions};
+use sentomist_core::supervise::{run_supervised, RunContext, SupervisorOptions};
 use sentomist_core::Report;
+use std::sync::Arc;
+use tinyvm::TimingModel;
 
 /// FNV-1a over a byte stream.
 struct Fnv(u64);
@@ -62,6 +73,37 @@ const GOLDEN_CASE1: &str = "b5e1c4b0205f2c4a";
 const GOLDEN_CASE2: &str = "7948b906723fed9b";
 const GOLDEN_CASE3: &str = "e1540603f9e1ec23";
 const GOLDEN_CAMPAIGN: &str = "7b1a07b56e2d3d59";
+const GOLDEN_CASE1_MULTINODE: &str = "cfddb2f3bd4f3928";
+/// `(polluted_packets, symptom_intervals, intervals, any_preemption)` of
+/// `run_fidelity(timing, 20 ms, 10 s, seed)` for seeds 0..3, each seed
+/// cycle-accurate first, then zero-cost.
+const GOLDEN_FIDELITY: [(usize, usize, usize, bool); 6] = [
+    (6, 6, 500, true),
+    (0, 0, 500, false),
+    (6, 6, 500, true),
+    (0, 0, 500, false),
+    (2, 2, 500, true),
+    (0, 0, 500, false),
+];
+
+/// The 16-seed, 2-second trigger sweep (the CI determinism sweep's shape).
+const TRIGGER: Mode = Mode::Trigger {
+    period: 20,
+    seconds: 2,
+    nu: 0.05,
+};
+
+fn campaign_seeds() -> Vec<u64> {
+    (0..16).map(|i| 1000 + i).collect()
+}
+
+/// Digest of a serialized outcome list (wall times are not serialized).
+fn outcomes_digest(outcomes: &[sentomist_core::campaign::RunOutcome]) -> String {
+    let json = serde_json::to_string(outcomes).unwrap();
+    let mut h = Fnv::new();
+    h.update(json.as_bytes());
+    h.hex()
+}
 
 fn check(name: &str, golden: &str, actual: &str) {
     if std::env::var("EQUIV_CAPTURE").is_ok() {
@@ -97,11 +139,67 @@ fn trigger_campaign_json_matches_seed_implementation() {
     // 16 seeds, 2-second runs (the CI determinism sweep's shape): the
     // serialized outcome document must be byte-identical to the seed
     // implementation's.
-    let job = trigger_job(20, 2, 0.05).unwrap();
-    let seeds: Vec<u64> = (0..16).map(|i| 1000 + i).collect();
-    let result = run_campaign(&seeds, CampaignOptions::default(), job);
-    let json = serde_json::to_string(&result.outcomes).unwrap();
-    let mut h = Fnv::new();
-    h.update(json.as_bytes());
-    check("campaign", GOLDEN_CAMPAIGN, &h.hex());
+    let job = TRIGGER.job().unwrap();
+    let result = run_campaign(&campaign_seeds(), CampaignOptions::default(), job);
+    check(
+        "campaign",
+        GOLDEN_CAMPAIGN,
+        &outcomes_digest(&result.outcomes),
+    );
+}
+
+#[test]
+fn supervised_trigger_campaign_matches_the_plain_golden() {
+    // The cooperative job the CLI's `campaign` runs: emulation advances in
+    // slices between watchdog checks, which must not move one bit.
+    let traced = TRIGGER.supervised_traced_job().unwrap();
+    let job = Arc::new(move |ctx: &RunContext| traced(ctx).map(|(outcome, _)| outcome));
+    let result = run_supervised(
+        &campaign_seeds(),
+        &SupervisorOptions::default(),
+        job,
+        |_| {},
+    );
+    assert!(result.errors.is_empty(), "{:?}", result.errors);
+    check(
+        "campaign",
+        GOLDEN_CAMPAIGN,
+        &outcomes_digest(&result.outcomes),
+    );
+}
+
+#[test]
+fn case1_multinode_ranking_is_pinned() {
+    let result = run_case1_multinode(&Case1MultiConfig::default()).unwrap();
+    check(
+        "case1_multinode",
+        GOLDEN_CASE1_MULTINODE,
+        &case_digest(&result),
+    );
+}
+
+#[test]
+fn fidelity_outcomes_are_pinned() {
+    let mut actual = Vec::new();
+    for seed in 0..3u64 {
+        for timing in [TimingModel::CycleAccurate, TimingModel::ZeroCostEvents] {
+            actual.push(run_fidelity(timing, 20, 10, seed).unwrap());
+        }
+    }
+    if std::env::var("EQUIV_CAPTURE").is_ok() {
+        println!("{actual:?}");
+        return;
+    }
+    let expected: Vec<FidelityOutcome> = GOLDEN_FIDELITY
+        .iter()
+        .map(
+            |&(polluted_packets, symptom_intervals, intervals, any_preemption)| FidelityOutcome {
+                polluted_packets,
+                symptom_intervals,
+                intervals,
+                any_preemption,
+            },
+        )
+        .collect();
+    assert_eq!(actual, expected, "emulator-fidelity outcomes moved");
 }

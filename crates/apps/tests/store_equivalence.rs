@@ -10,9 +10,10 @@
 
 use sentomist_apps::{
     mine_case1, mine_case2, mine_case3, mine_trigger_trace, run_case1_traced, run_case2_traced,
-    run_case3_traced, trigger_job_traced, Case1Config, Case2Config, Case3Config, CaseResult,
+    run_case3_traced, Case1Config, Case2Config, Case3Config, CaseResult, Mode,
 };
 use sentomist_core::campaign::CampaignOptions;
+use sentomist_core::supervise::RunContext;
 use sentomist_core::{mine_store, Report};
 use sentomist_trace::Trace;
 use sentomist_tracestore::TraceStore;
@@ -131,9 +132,15 @@ fn trigger_campaign_mined_from_store_matches_live_golden() {
     // serialized outcome JSON must hash to the same golden digest.
     let root = temp_store("campaign");
     let store = TraceStore::create(&root).unwrap();
-    let job = trigger_job_traced(20, 2, 0.05).unwrap();
+    let job = Mode::Trigger {
+        period: 20,
+        seconds: 2,
+        nu: 0.05,
+    }
+    .supervised_traced_job()
+    .unwrap();
     for seed in 1000u64..1016 {
-        let (_, traces) = job(seed).unwrap();
+        let (_, traces) = job(&RunContext::new(seed, 1, None)).unwrap();
         store.save_run(seed, "trigger", 0, &traces).unwrap();
     }
     let result = mine_store(

@@ -9,14 +9,20 @@
 //! Run with: `cargo bench -p sentomist-bench --bench campaign_scaling`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sentomist_apps::experiments::trigger_job;
+use sentomist_apps::Mode;
 use sentomist_core::campaign::{run_campaign, CampaignOptions};
 
 fn campaign_scaling(c: &mut Criterion) {
     let seeds: Vec<u64> = (1000..1008).collect();
     // 2-second runs keep the bench quick while still dominating the
     // per-job time with real emulation + mining work.
-    let job = trigger_job(20, 2, 0.05).expect("oscilloscope assembles");
+    let job = Mode::Trigger {
+        period: 20,
+        seconds: 2,
+        nu: 0.05,
+    }
+    .job()
+    .expect("oscilloscope assembles");
 
     let mut group = c.benchmark_group("campaign_scaling");
     group.sample_size(10);

@@ -16,7 +16,7 @@
 //! Run with: `cargo bench -p sentomist-bench --bench supervised_overhead`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sentomist_apps::experiments::trigger_job;
+use sentomist_apps::Mode;
 use sentomist_core::campaign::{run_campaign, CampaignOptions, RunOutcome, Verdict};
 use sentomist_core::supervise::{adapt_seed_job, run_supervised, SupervisorOptions};
 use std::sync::Arc;
@@ -72,7 +72,12 @@ fn supervised_overhead(c: &mut Criterion) {
     // The real case-I trigger sweep: emulate + mine per seed, the job
     // shape `campaign` runs in production.
     let trigger_seeds: Vec<u64> = (1000..1008).collect();
-    let plain_job = trigger_job(20, 1, 0.05).expect("oscilloscope assembles");
+    let trigger = Mode::Trigger {
+        period: 20,
+        seconds: 1,
+        nu: 0.05,
+    };
+    let plain_job = trigger.job().expect("oscilloscope assembles");
     group.bench_with_input(BenchmarkId::new("trigger", "plain"), &(), |b, ()| {
         b.iter(|| {
             run_campaign(
@@ -87,7 +92,7 @@ fn supervised_overhead(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("trigger", "supervised"), &(), |b, ()| {
         let job = Arc::new(adapt_seed_job(
-            trigger_job(20, 1, 0.05).expect("oscilloscope assembles"),
+            trigger.job().expect("oscilloscope assembles"),
         ));
         let opts = SupervisorOptions {
             threads,

@@ -11,8 +11,7 @@
 //! Run with: `cargo run --release -p sentomist-bench --bin case_study_1`
 //! Optional arguments: `[threads] [seeds]` (defaults 1 and 8).
 
-use sentomist_apps::experiments::case1_job;
-use sentomist_apps::{run_case1, Case1Config};
+use sentomist_apps::{run_case1, Case1Config, Mode};
 use sentomist_core::campaign::{run_campaign, CampaignOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             threads,
             progress: true,
         },
-        case1_job(Case1Config::default()),
+        Mode::Case1.job()?,
     );
     println!();
     print!(

@@ -11,8 +11,7 @@
 //! Run with: `cargo run --release -p sentomist-bench --bin case_study_2`
 //! Optional arguments: `[threads] [seeds]` (defaults 1 and 8).
 
-use sentomist_apps::experiments::case2_job;
-use sentomist_apps::{run_case2, Case2Config};
+use sentomist_apps::{run_case2, Case2Config, Mode};
 use sentomist_core::campaign::{run_campaign, CampaignOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             threads,
             progress: true,
         },
-        case2_job(Case2Config::default()),
+        Mode::Case2.job()?,
     );
     println!();
     print!(

@@ -12,8 +12,7 @@
 //! Run with: `cargo run --release -p sentomist-bench --bin case_study_3`
 //! Optional arguments: `[threads] [seeds]` (defaults 1 and 8).
 
-use sentomist_apps::experiments::case3_job;
-use sentomist_apps::{run_case3, Case3Config};
+use sentomist_apps::{run_case3, Case3Config, Mode};
 use sentomist_core::campaign::{run_campaign, CampaignOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             threads,
             progress: true,
         },
-        case3_job(Case3Config::default()),
+        Mode::Case3.job()?,
     );
     println!();
     print!(

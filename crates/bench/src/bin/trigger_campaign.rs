@@ -10,8 +10,8 @@
 //! the numbers in the table are identical for every thread count — only
 //! the wall-clock column changes.
 
-use sentomist_apps::experiments::run_trigger_campaign;
-use sentomist_core::campaign::CampaignOptions;
+use sentomist_apps::Mode;
+use sentomist_core::campaign::{run_campaign, CampaignOptions};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,16 +33,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for period in [20u32, 40, 60, 80, 100] {
         let started = Instant::now();
-        let result = run_trigger_campaign(
+        let seeds: Vec<u64> = (1000..1000 + runs).collect();
+        let options = CampaignOptions {
+            threads,
+            progress: false,
+        };
+        let job = Mode::Trigger {
             period,
-            runs,
-            1000,
-            0.05,
-            CampaignOptions {
-                threads,
-                progress: false,
-            },
-        )?;
+            seconds: 10,
+            nu: 0.05,
+        };
+        let result = run_campaign(&seeds, options, job.job()?);
         let elapsed = started.elapsed().as_secs_f64();
         for e in &result.errors {
             eprintln!("seed {} failed: {}", e.seed, e.message);

@@ -11,7 +11,10 @@
 //!   crates build these; see `sentomist-apps`);
 //! * [`run_campaign`] fans the seeds over a worker pool of OS threads
 //!   and collects the outcomes **sorted by seed**, so the aggregated
-//!   result is identical whether 1 or 16 threads ran it;
+//!   result is identical whether 1 or 16 threads ran it. The pool is the
+//!   one private fan-out, collect and seed-sort loop that the supervised
+//!   runner ([`crate::supervise`]) also runs on; `run_campaign` is the
+//!   unsupervised entry point for jobs that borrow from their caller;
 //! * [`summarize`] reduces the outcomes to permutation-invariant
 //!   campaign statistics (trigger rate, rank quality, sample volumes);
 //! * any flagged run is replayable by invoking the same job with the
@@ -304,54 +307,107 @@ impl Default for CampaignOptions {
 /// form — is identical for every thread count. Worker scheduling only
 /// changes *when* each outcome is produced, never what it contains or
 /// where it lands.
+///
+/// The job may borrow from the caller: it runs on scoped workers, so
+/// unlike [`run_supervised`](crate::supervise::run_supervised) it needs
+/// no `'static` bound. In exchange there is no panic isolation, watchdog
+/// or retry.
 pub fn run_campaign<F>(seeds: &[u64], options: CampaignOptions, job: F) -> CampaignResult
 where
     F: Fn(u64) -> Result<RunOutcome, String> + Send + Sync,
 {
-    let threads = options.threads.clamp(1, seeds.len().max(1));
+    let work = |seed| {
+        let start = Instant::now();
+        let result = job(seed).map(|mut outcome| {
+            outcome.wall_time_ms = start.elapsed().as_millis() as u64;
+            outcome
+        });
+        if options.progress {
+            match &result {
+                Ok(o) => eprintln!(
+                    "campaign: seed {seed} done — {} samples, {} symptoms, \
+                     verdict {:?} ({} ms)",
+                    o.samples, o.symptoms, o.verdict, o.wall_time_ms
+                ),
+                Err(e) => eprintln!("campaign: seed {seed} FAILED — {e}"),
+            }
+        }
+        (seed, result)
+    };
+    let (outcomes, errors) = fan_out(seeds, options.threads, None, work, |(seed, result)| {
+        result
+            .map(|outcome| (seed, outcome))
+            .map_err(|message| RunError::new(seed, message))
+    });
+    CampaignResult {
+        outcomes: outcomes.into_iter().map(|(_, outcome)| outcome).collect(),
+        errors,
+    }
+}
+
+/// The one worker pool, behind both [`run_campaign`] and
+/// [`run_supervised_typed`](crate::supervise::run_supervised_typed):
+/// fans `seeds` over `threads` scoped workers (clamped to `1..=seeds`)
+/// running `work`, hands each result to `collect` on the calling thread
+/// as it lands, and returns the collected values and errors sorted by
+/// seed. With `stop_after`, workers stop taking new seeds once that many
+/// have completed; in-flight seeds still finish.
+pub(crate) fn fan_out<R, T, W, C>(
+    seeds: &[u64],
+    threads: usize,
+    stop_after: Option<usize>,
+    work: W,
+    mut collect: C,
+) -> (Vec<(u64, T)>, Vec<RunError>)
+where
+    R: Send,
+    W: Fn(u64) -> R + Sync,
+    C: FnMut(R) -> Result<(u64, T), RunError>,
+{
+    let threads = threads.clamp(1, seeds.len().max(1));
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(u64, Result<RunOutcome, String>)>();
+    let completed = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<R>();
+    let mut values = Vec::new();
+    let mut errors = Vec::new();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let tx = tx.clone();
-            let next = &next;
-            let job = &job;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let start = Instant::now();
-                let result = job(seed).map(|mut outcome| {
-                    outcome.wall_time_ms = start.elapsed().as_millis() as u64;
-                    outcome
-                });
-                if options.progress {
-                    match &result {
-                        Ok(o) => eprintln!(
-                            "campaign: seed {seed} done — {} samples, {} symptoms, \
-                             verdict {:?} ({} ms)",
-                            o.samples, o.symptoms, o.verdict, o.wall_time_ms
-                        ),
-                        Err(e) => eprintln!("campaign: seed {seed} FAILED — {e}"),
-                    }
-                }
-                if tx.send((seed, result)).is_err() {
+            let (next, completed, work) = (&next, &completed, &work);
+            workers.push(scope.spawn(move || loop {
+                if stop_after.is_some_and(|limit| completed.load(Ordering::SeqCst) >= limit) {
                     break;
                 }
-            });
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&seed) = seeds.get(i) else { break };
+                let result = work(seed);
+                completed.fetch_add(1, Ordering::SeqCst);
+                if tx.send(result).is_err() {
+                    break;
+                }
+            }));
         }
         drop(tx);
-    });
-    let mut outcomes = Vec::new();
-    let mut errors = Vec::new();
-    for (seed, result) in rx {
-        match result {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(message) => errors.push(RunError::new(seed, message)),
+        for result in rx {
+            match collect(result) {
+                Ok(value) => values.push(value),
+                Err(error) => errors.push(error),
+            }
         }
-    }
-    outcomes.sort_by_key(|o| o.seed);
+        // The scope waits only for the workers' closures to return, not
+        // for their threads to exit. Joining lets each thread hand its
+        // allocator arena back first, so the next pool reuses the arenas
+        // instead of racing the exiting threads and creating new ones.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    values.sort_by_key(|(seed, _)| *seed);
     errors.sort_by_key(|e| e.seed);
-    CampaignResult { outcomes, errors }
+    (values, errors)
 }
 
 /// Re-runs a single seed through `job` — the reproduce-by-seed entry

@@ -2,7 +2,7 @@
 //! output is a *test verdict*, not a figure.
 //!
 //! A hunt fans seeded scenarios over the supervised worker pool
-//! ([`run_supervised_typed`]),
+//! ([`run_supervised_typed`](crate::supervise::run_supervised_typed)),
 //! mines every run, and checks each run's [`Evidence`] against an
 //! explicit invariant registry. Violations aggregate into a
 //! [`HuntReport`]: per-invariant detection rates, the violating seeds,
@@ -27,10 +27,8 @@
 //! byte-identical for every worker-thread count.
 
 use crate::campaign::{RunError, RunOutcome, Verdict};
-use crate::supervise::{run_supervised_typed, RunContext, RunFailure, SupervisorOptions};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// The invariants a hunt checks after mining each run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -587,30 +585,6 @@ impl HuntReport {
             }
         }
         out
-    }
-}
-
-/// What hunting one target through the supervised pool produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TargetOutcome {
-    /// One record per completed iteration, ascending by seed.
-    pub records: Vec<IterationRecord>,
-    /// Seeds that ultimately failed, ascending by seed.
-    pub errors: Vec<RunError>,
-}
-
-/// Fans the scenario seeds of one target over the supervised worker pool
-/// (panic isolation, watchdog, deterministic retry — see
-/// [`supervise`](crate::supervise)) and collects the iteration records,
-/// sorted by seed so the result is identical for every thread count.
-pub fn run_hunt_target<F>(seeds: &[u64], options: &SupervisorOptions, job: Arc<F>) -> TargetOutcome
-where
-    F: Fn(&RunContext) -> Result<IterationRecord, RunFailure> + Send + Sync + 'static,
-{
-    let result = run_supervised_typed(seeds, options, job, |_| {});
-    TargetOutcome {
-        records: result.outcomes.into_iter().map(|(_, r)| r).collect(),
-        errors: result.errors,
     }
 }
 

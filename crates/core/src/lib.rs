@@ -86,8 +86,8 @@ pub use causal::{causal_chain, CausalChain, CausalError, ChainHop, ChainSite};
 pub use chaos::{corrupt_file, truncate_file, ChaosConfig, Fault};
 pub use corpus::{mine_store, mine_store_with, MineOptions, MineReport, QuarantinedRun};
 pub use hunt::{
-    check_invariants, run_hunt_target, Evidence, HuntReport, InvariantId, InvariantPolicy,
-    InvariantStats, IterationRecord, TargetOutcome, TargetReport, Violation, INVARIANTS,
+    check_invariants, Evidence, HuntReport, InvariantId, InvariantPolicy, InvariantStats,
+    IterationRecord, TargetReport, Violation, INVARIANTS,
 };
 pub use localize::{
     corroborate, corroborate_with_chain, localize, localize_set, CorroboratedInstruction,

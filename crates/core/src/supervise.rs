@@ -6,7 +6,8 @@
 //! breaks: a panicking job would unwind its worker, a runaway emulation
 //! would hang the sweep forever, and a transient failure (I/O hiccup,
 //! injected chaos) would burn the seed permanently. [`run_supervised`]
-//! hardens the same fan-out:
+//! runs on the same worker pool (one fan-out, collect and seed-sort loop
+//! in `campaign`) and hardens what each worker does with a seed:
 //!
 //! * **panic isolation** — every attempt runs under
 //!   [`std::panic::catch_unwind`]; a panic becomes a typed
@@ -36,9 +37,10 @@
 //!
 //! Determinism contract: as with `run_campaign`, the aggregated
 //! [`CampaignResult`] is sorted by seed and (given pure jobs) identical
-//! for every thread count. With no timeout configured, attempts run
-//! inline on the scoped workers — the clean path costs one
-//! `catch_unwind` frame over the plain orchestrator.
+//! for every thread count. Like `run_campaign`, it joins its workers
+//! before returning. With no timeout configured, attempts run inline on
+//! the scoped workers — the clean path costs one `catch_unwind` frame
+//! over the plain orchestrator.
 //!
 //! The pool is generic over the job's success type:
 //! [`run_supervised_typed`] supervises any `Fn(&RunContext) ->
@@ -48,10 +50,10 @@
 //! specialization that additionally stamps wall times and aggregates a
 //! [`CampaignResult`].
 
-use crate::campaign::{CampaignResult, FailureKind, RunError, RunOutcome};
+use crate::campaign::{fan_out, CampaignResult, FailureKind, RunError, RunOutcome};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -77,6 +79,14 @@ impl RunFailure {
         }
     }
 }
+
+impl std::fmt::Display for RunFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.message())
+    }
+}
+
+impl std::error::Error for RunFailure {}
 
 /// Per-attempt execution context handed to supervised jobs.
 ///
@@ -464,57 +474,16 @@ where
     C: FnMut(&TypedReport<T>),
 {
     install_quiet_panic_hook();
-    let threads = options.threads.clamp(1, seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<TypedReport<T>>();
-    let mut outcomes = Vec::new();
-    let mut errors = Vec::new();
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let completed = &completed;
-            let job = &job;
-            workers.push(scope.spawn(move || loop {
-                if let Some(limit) = options.stop_after {
-                    if completed.load(Ordering::SeqCst) >= limit {
-                        break;
-                    }
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let report = supervise_seed(seed, options, job);
-                completed.fetch_add(1, Ordering::SeqCst);
-                if tx.send(report).is_err() {
-                    break;
-                }
-            }));
-        }
-        drop(tx);
-        // Collect on the calling thread while workers run, so
-        // `on_complete` can journal each seed the moment it lands.
-        for report in rx {
+    let (outcomes, errors) = fan_out(
+        seeds,
+        options.threads,
+        options.stop_after,
+        |seed| supervise_seed(seed, options, &job),
+        |report: TypedReport<T>| {
             on_complete(&report);
-            match (report.outcome, report.error) {
-                (Some(outcome), _) => outcomes.push((report.seed, outcome)),
-                (None, Some(error)) => errors.push(error),
-                (None, None) => {}
-            }
-        }
-        // The scope waits only for the workers' closures to return, not
-        // for their threads to exit. Joining lets each thread hand its
-        // allocator arena back first, so the next pool reuses the arenas
-        // instead of racing the exiting threads and creating new ones.
-        for worker in workers {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
-    outcomes.sort_by_key(|(seed, _)| *seed);
-    errors.sort_by_key(|e: &RunError| e.seed);
+            settle(report.seed, report.outcome, report.error)
+        },
+    );
     SupervisedResult { outcomes, errors }
 }
 
@@ -541,59 +510,64 @@ where
     F: Fn(&RunContext) -> Result<RunOutcome, RunFailure> + Send + Sync + 'static,
     C: FnMut(&SeedReport),
 {
-    let mut outcomes = Vec::new();
-    let mut errors = Vec::new();
-    run_supervised_typed(seeds, options, job, |report: &TypedReport<RunOutcome>| {
-        let stamped = report.outcome.clone().map(|mut o| {
-            o.wall_time_ms = report.wall_time_ms;
-            o
-        });
-        if options.progress {
-            match (&stamped, &report.error) {
-                (Some(o), _) => eprintln!(
-                    "campaign: seed {} done — {} samples, {} symptoms, \
-                     verdict {:?} ({} ms, {} attempt{})",
-                    report.seed,
-                    o.samples,
-                    o.symptoms,
-                    o.verdict,
-                    o.wall_time_ms,
-                    report.attempts,
-                    if report.attempts == 1 { "" } else { "s" }
-                ),
-                (None, Some(e)) => eprintln!(
-                    "campaign: seed {} FAILED ({}) after {} attempt{} — {}",
-                    report.seed,
-                    e.kind.as_str(),
-                    report.attempts,
-                    if report.attempts == 1 { "" } else { "s" },
-                    e.message
-                ),
-                (None, None) => {}
+    install_quiet_panic_hook();
+    let (outcomes, errors) = fan_out(
+        seeds,
+        options.threads,
+        options.stop_after,
+        |seed| supervise_seed(seed, options, &job),
+        |report: TypedReport<RunOutcome>| {
+            let attempts = report.attempts;
+            let plural = if attempts == 1 { "" } else { "s" };
+            let report = SeedReport {
+                seed: report.seed,
+                attempts,
+                outcome: report.outcome.map(|outcome| RunOutcome {
+                    wall_time_ms: report.wall_time_ms,
+                    ..outcome
+                }),
+                error: report.error,
+            };
+            if options.progress {
+                match (&report.outcome, &report.error) {
+                    (Some(o), _) => eprintln!(
+                        "campaign: seed {} done — {} samples, {} symptoms, \
+                         verdict {:?} ({} ms, {attempts} attempt{plural})",
+                        report.seed, o.samples, o.symptoms, o.verdict, o.wall_time_ms,
+                    ),
+                    (None, Some(e)) => eprintln!(
+                        "campaign: seed {} FAILED ({}) after {attempts} attempt{plural} — {}",
+                        report.seed,
+                        e.kind.as_str(),
+                        e.message
+                    ),
+                    (None, None) => {}
+                }
             }
-        }
-        let seed_report = SeedReport {
-            seed: report.seed,
-            attempts: report.attempts,
-            outcome: stamped.clone(),
-            error: report.error.clone(),
-        };
-        on_complete(&seed_report);
-        match (stamped, report.error.clone()) {
-            (Some(outcome), _) => outcomes.push(outcome),
-            (None, Some(error)) => errors.push(error),
-            (None, None) => {}
-        }
-    });
-    outcomes.sort_by_key(|o: &RunOutcome| o.seed);
-    errors.sort_by_key(|e: &RunError| e.seed);
-    CampaignResult { outcomes, errors }
+            on_complete(&report);
+            settle(report.seed, report.outcome, report.error)
+        },
+    );
+    CampaignResult {
+        outcomes: outcomes.into_iter().map(|(_, outcome)| outcome).collect(),
+        errors,
+    }
+}
+
+/// A finished seed's value, or its error; `supervise_seed` always sets
+/// exactly one of the two.
+fn settle<T>(seed: u64, outcome: Option<T>, error: Option<RunError>) -> Result<(u64, T), RunError> {
+    match outcome {
+        Some(outcome) => Ok((seed, outcome)),
+        None => Err(error.expect("a seed without an outcome carries its error")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::Verdict;
+    use std::sync::atomic::AtomicUsize;
 
     fn ok_outcome(seed: u64) -> RunOutcome {
         RunOutcome {

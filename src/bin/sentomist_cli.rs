@@ -13,8 +13,8 @@
 //! ```
 
 use sentomist::apps::{
-    bundled_program, bundled_slice_report, campaign_document, default_slice_seeds, fnv64,
-    mine_corpus, slice_document, CorpusMineOptions, Mode, SupervisedTracedJob,
+    bundled_program, bundled_slice_report, campaign_document, fnv64, mine_corpus, slice_document,
+    slice_report_for, CorpusMineOptions, DetectorKind, Mode, SupervisedTracedJob,
 };
 use sentomist::core::campaign::{CampaignResult, RunOutcome, Verdict};
 use sentomist::core::chaos::ChaosConfig;
@@ -22,13 +22,9 @@ use sentomist::core::supervise::{
     run_supervised, RunContext, RunFailure, SeedReport, SupervisorOptions,
 };
 use sentomist::core::{
-    causal_chain, corroborate_with_chain, harvest_set, localize_set, CausalChain, Pipeline,
-    SampleIndex,
+    causal_chain, corroborate_with_chain, harvest_set, localize_set, CausalChain, SampleIndex,
 };
-use sentomist::mlcore::{
-    KdeDetector, KfdDetector, KnnDetector, MahalanobisDetector, OneClassSvm, OutlierDetector,
-    PcaDetector,
-};
+use sentomist::flags::Flags;
 use sentomist::tinyvm::{self, devices::NodeConfig, node::Node};
 use sentomist::trace::{Recorder, Trace};
 use sentomist::tracestore::{
@@ -103,27 +99,30 @@ USAGE:
       --json prints the report document, byte-identical to the mining
       daemon's Slice response for the bundled apps.
 
-  sentomist mine <trace.json> [--irq N] [--detector ocsvm|pca|knn|mahalanobis|kde|kfd]
+  sentomist mine <trace.json> [--irq N]
+                 [--detector ocsvm|pca|knn|mahalanobis|kde|kfd|ensemble]
                  [--nu X] [--top K] [--csv FILE]
                  [--corroborate <app.s>] [--min-z Z] [--causal]
       Anatomize the trace into event-handling intervals of interrupt N
-      (default 0), rank them, and print the suspicion table; --csv also
-      writes the full ranking for external plotting. With --corroborate,
-      localize the top-ranked interval against <app.s> and join each
-      implicated instruction with the static analyzer's warnings —
-      statically corroborated sites rank first. --causal additionally
-      intersects the dynamic interval with the static backward slice
-      from the implicated sites and prints the reconstructed causal
-      chain: the ordered cross-context hops that published the stale
-      state the symptom consumed.
+      (default 0), rank them, and print the suspicion table. The detector
+      defaults to ocsvm; --nu (default 0.05) sets the one-class SVM's ν,
+      alone or as the ensemble's SVM member. --csv also writes the full
+      ranking for external plotting. With --corroborate, localize the
+      top-ranked interval against <app.s> and join each implicated
+      instruction with the static analyzer's warnings — statically
+      corroborated sites rank first. --causal additionally intersects the
+      dynamic interval with the static backward slice from the implicated
+      sites and prints the reconstructed causal chain: the ordered
+      cross-context hops that published the stale state the symptom
+      consumed.
 
   sentomist localize <trace.json> <app.s> [--irq N] [--rank R] [--min-z Z]
-                     [--causal]
-      Explain the R-th most suspicious interval (default 1): which
-      instructions deviate from the population. With --causal, also
-      reconstruct the interval's causal chain and restrict the flat hit
-      list to chain members — a strictly smaller, causally ordered
-      explanation.
+                     [--detector D] [--nu X] [--causal]
+      Explain the R-th most suspicious interval (default 1) of the
+      ranking by detector D (as for mine): which instructions deviate
+      from the population. With --causal, also reconstruct the
+      interval's causal chain and restrict the flat hit list to chain
+      members — a strictly smaller, causally ordered explanation.
 
   sentomist profile <trace.json> <app.s>
       Attribute executed instructions and cycles to routines (the
@@ -249,55 +248,16 @@ USAGE:
 "
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            // A flag followed by another flag (or nothing) is boolean:
-            // it maps to the empty string and consumes no value.
-            let value = match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    i += 2;
-                    v.clone()
-                }
-                _ => {
-                    i += 1;
-                    String::new()
-                }
-            };
-            flags.insert(name.to_string(), value);
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (positional, flags)
-}
-
-/// Rejects flags the subcommand does not define: a typo like
-/// `--iteratoins` must print the usage on stderr and exit nonzero, not
-/// silently run with the default.
-fn reject_unknown_flags(
-    command: &str,
-    flags: &HashMap<String, String>,
-    allowed: &[&str],
-) -> Result<(), Box<dyn Error>> {
-    let mut unknown: Vec<&str> = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|name| !allowed.contains(name))
-        .collect();
-    unknown.sort_unstable();
-    match unknown.first() {
-        Some(name) => Err(usage_error(format!("{command}: unknown flag `--{name}`"))),
-        None => Ok(()),
-    }
+/// Parses a subcommand's arguments against its flag spec. An undeclared
+/// flag (a typo like `--iteratoins`) or a value flag without its value
+/// prints the usage on stderr and fails instead of running with a
+/// default.
+fn parse_args(command: &str, spec: &str, args: &[String]) -> Result<Flags, Box<dyn Error>> {
+    Flags::parse(spec, args).map_err(|e| usage_error(format!("{command}: {e}")))
 }
 
 /// Parses `--pc N[,N...]` into a pc list; absent means "default seeds".
-fn flag_pcs(flags: &HashMap<String, String>) -> Result<Vec<u16>, String> {
+fn flag_pcs(flags: &Flags) -> Result<Vec<u16>, String> {
     let Some(raw) = flags.get("pc") else {
         return Ok(Vec::new());
     };
@@ -313,45 +273,26 @@ fn flag_pcs(flags: &HashMap<String, String>) -> Result<Vec<u16>, String> {
         .collect()
 }
 
-fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-        None => Ok(default),
-    }
+/// The `--detector`/`--nu` pair as a detector plug-in.
+fn detector(flags: &Flags) -> Result<DetectorKind, String> {
+    let name = flags.get("detector").unwrap_or("ocsvm");
+    DetectorKind::from_name(name, flags.f64("nu", 0.05)?)
+        .ok_or_else(|| format!("unknown detector `{name}`"))
 }
 
-fn flag_opt_u64(flags: &HashMap<String, String>, name: &str) -> Result<Option<u64>, String> {
-    match flags.get(name) {
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-        None => Ok(None),
-    }
+/// Reads and assembles the program at `path`.
+fn assemble_file(path: &str) -> Result<tinyvm::Program, Box<dyn Error>> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    Ok(tinyvm::assemble(&src)?)
 }
 
-fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    match flags.get(name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-        None => Ok(default),
-    }
-}
-
-fn detector_from(flags: &HashMap<String, String>) -> Result<Box<dyn OutlierDetector>, String> {
-    let nu = flag_f64(flags, "nu", 0.05)?;
-    match flags.get("detector").map(String::as_str).unwrap_or("ocsvm") {
-        "ocsvm" => Ok(Box::new(OneClassSvm::with_nu(nu))),
-        "pca" => Ok(Box::new(PcaDetector::default())),
-        "knn" => Ok(Box::new(KnnDetector::default())),
-        "mahalanobis" => Ok(Box::new(MahalanobisDetector::default())),
-        "kde" => Ok(Box::new(KdeDetector::default())),
-        "kfd" => Ok(Box::new(KfdDetector::default())),
-        other => Err(format!("unknown detector `{other}`")),
-    }
+/// A node running the program at `path` under `seed`.
+fn boot(path: &str, seed: u64) -> Result<Node, Box<dyn Error>> {
+    let config = NodeConfig {
+        seed,
+        ..NodeConfig::default()
+    };
+    Ok(Node::new(std::sync::Arc::new(assemble_file(path)?), config))
 }
 
 fn load_trace(path: &str) -> Result<Trace, Box<dyn Error>> {
@@ -360,10 +301,10 @@ fn load_trace(path: &str) -> Result<Trace, Box<dyn Error>> {
 }
 
 fn cmd_assemble(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, _) = parse_flags(args);
+    let flags = parse_args("assemble", "", args)?;
+    let pos = flags.positional();
     let path = pos.first().ok_or("assemble: missing <app.s>")?;
-    let src = std::fs::read_to_string(path)?;
-    let program = tinyvm::assemble(&src)?;
+    let program = assemble_file(path)?;
     outln!(
         "; {} — {} instructions, {} tasks, {} data words",
         path,
@@ -376,25 +317,16 @@ fn cmd_assemble(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("run", &flags, &["cycles", "seed", "trace"])?;
+    let flags = parse_args("run", "cycles= seed= trace=", args)?;
+    let pos = flags.positional();
     let path = pos.first().ok_or("run: missing <app.s>")?;
-    let cycles = flag_u64(&flags, "cycles", 10_000_000)?;
-    let seed = flag_u64(&flags, "seed", 42)?;
+    let cycles = flags.u64("cycles", 10_000_000)?;
+    let seed = flags.u64("seed", 42)?;
     let out = flags
         .get("trace")
-        .cloned()
-        .unwrap_or_else(|| format!("{path}.trace.json"));
-    let src = std::fs::read_to_string(path)?;
-    let program = std::sync::Arc::new(tinyvm::assemble(&src)?);
-    let mut node = Node::new(
-        program.clone(),
-        NodeConfig {
-            seed,
-            ..NodeConfig::default()
-        },
-    );
-    let mut recorder = Recorder::new(program.len());
+        .map_or_else(|| format!("{path}.trace.json"), str::to_string);
+    let mut node = boot(path, seed)?;
+    let mut recorder = Recorder::new(node.program().len());
     node.run(cycles, &mut recorder)?;
     let trace = recorder.into_trace();
     outln!(
@@ -410,24 +342,18 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags(
+    let flags = parse_args(
         "mine",
-        &flags,
-        &[
-            "irq",
-            "top",
-            "detector",
-            "nu",
-            "csv",
-            "corroborate",
-            "min-z",
-            "causal",
-        ],
+        "irq= top= detector= nu= csv= corroborate= min-z= causal",
+        args,
     )?;
-    let path = pos.first().ok_or("mine: missing <trace.json>")?;
-    let irq = flag_u64(&flags, "irq", 0)? as u8;
-    let top = flag_u64(&flags, "top", 10)? as usize;
+    let path = flags
+        .positional()
+        .first()
+        .ok_or("mine: missing <trace.json>")?;
+    let irq = flags.u64("irq", 0)? as u8;
+    let top = flags.u64("top", 10)? as usize;
+    let detector = detector(&flags)?;
     let trace = load_trace(path)?;
     let samples = harvest_set(&trace, irq, |seq, _| SampleIndex::Seq(seq))?;
     if samples.is_empty() {
@@ -438,35 +364,25 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         samples.len(),
         irq,
         tinyvm::isa::irq::name(irq),
-        flags.get("detector").map(String::as_str).unwrap_or("ocsvm"),
+        detector.name(),
     );
     let corroborate_app = flags.get("corroborate").filter(|s| !s.is_empty());
-    let pipeline = Pipeline::new(detector_from(&flags)?);
-    let report = pipeline.rank_set(samples.clone())?;
+    let report = detector.pipeline().rank_set(samples.clone())?;
     out!("{}", report.table(top, 2));
     if let Some(csv_path) = flags.get("csv") {
         std::fs::write(csv_path, report.to_csv())?;
         outln!("full ranking written to {csv_path}");
     }
     let Some(app_path) = corroborate_app else {
-        if flags.contains_key("causal") {
+        if flags.has("causal") {
             return Err("mine --causal needs --corroborate <app.s>".into());
         }
         return Ok(());
     };
     // Fuse: localize the top-ranked interval and join the implicated
     // instructions against the static analyzer's warnings.
-    let min_z = flag_f64(&flags, "min-z", 1.0)?;
-    let src = std::fs::read_to_string(app_path).map_err(|e| format!("reading {app_path}: {e}"))?;
-    let program = tinyvm::assemble(&src)?;
-    if program.len() != trace.program_len {
-        return Err(format!(
-            "program has {} instructions but the trace was recorded for {}",
-            program.len(),
-            trace.program_len
-        )
-        .into());
-    }
+    let min_z = flags.f64("min-z", 1.0)?;
+    let program = assemble_for(app_path, &trace)?;
     let target = report
         .ranking
         .first()
@@ -478,7 +394,7 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         .ok_or("ranked sample missing from the harvested set")?;
     let hits = localize_set(&samples, flagged, &program, min_z);
     let lint = sentomist::staticlint::lint(&program);
-    let chain = if flags.contains_key("causal") {
+    let chain = if flags.has("causal") {
         let interval = samples.meta[flagged].interval;
         let seeds: Vec<u16> = hits.iter().map(|h| h.pc).collect();
         causal_chain(&program, &trace, &interval, &seeds, &lint)?
@@ -514,17 +430,37 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
             tag
         );
     }
-    if flags.contains_key("causal") {
-        outln!();
-        match &chain {
-            Some(c) => print_chain(c),
-            None => outln!(
-                "no causal chain: no warning-anchored cross-context edge \
-                 carried state into this interval"
-            ),
-        }
+    if flags.has("causal") {
+        print_causal(chain.as_ref());
     }
     Ok(())
+}
+
+/// Assembles the program at `path`, checking that it is the one `trace`
+/// was recorded for.
+fn assemble_for(path: &str, trace: &Trace) -> Result<tinyvm::Program, Box<dyn Error>> {
+    let program = assemble_file(path)?;
+    if program.len() != trace.program_len {
+        return Err(format!(
+            "program has {} instructions but the trace was recorded for {}",
+            program.len(),
+            trace.program_len
+        )
+        .into());
+    }
+    Ok(program)
+}
+
+/// The `--causal` section: the reconstructed chain, or why there is none.
+fn print_causal(chain: Option<&CausalChain>) {
+    outln!();
+    match chain {
+        Some(c) => print_chain(c),
+        None => outln!(
+            "no causal chain: no warning-anchored cross-context edge \
+             carried state into this interval"
+        ),
+    }
 }
 
 /// Renders a reconstructed causal chain: cross-context hops in dynamic
@@ -555,15 +491,16 @@ fn print_chain(chain: &CausalChain) {
 
 /// One of the paper's three bundled case-study programs, by name.
 fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("lint", &flags, &["app", "fixed", "json"])?;
-    let json = flags.contains_key("json");
+    let flags = parse_args("lint", "app= fixed json", args)?;
+    let json = flags.has("json");
     let program = match flags.get("app") {
-        Some(name) => bundled_program(name, flags.contains_key("fixed"))?,
+        Some(name) => bundled_program(name, flags.has("fixed"))?,
         None => {
-            let path = pos.first().ok_or("lint: missing <app.s> (or --app NAME)")?;
-            let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            std::sync::Arc::new(tinyvm::assemble(&src)?)
+            let path = flags
+                .positional()
+                .first()
+                .ok_or("lint: missing <app.s> (or --app NAME)")?;
+            std::sync::Arc::new(assemble_file(path)?)
         }
     };
     let report = sentomist::staticlint::lint(&program);
@@ -617,48 +554,22 @@ fn print_slice_report(report: &sentomist::staticlint::SliceReport) {
 /// daemon answers Slice requests with, so `--app --json` output and a
 /// daemon response are byte-identical by construction.
 fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("slice", &flags, &["app", "fixed", "json", "pc"])?;
-    let json = flags.contains_key("json");
+    let flags = parse_args("slice", "app= pc= fixed json", args)?;
+    let json = flags.has("json");
     let pcs = flag_pcs(&flags)?;
-    if let Some(name) = flags.get("app") {
-        if json {
-            out!(
-                "{}",
-                slice_document(name, flags.contains_key("fixed"), &pcs)?
-            );
-        } else {
-            print_slice_report(&bundled_slice_report(
-                name,
-                flags.contains_key("fixed"),
-                &pcs,
-            )?);
+    let report = match flags.get("app") {
+        Some(name) if json => {
+            out!("{}", slice_document(name, flags.has("fixed"), &pcs)?);
+            return Ok(());
         }
-        return Ok(());
-    }
-    let path = pos
-        .first()
-        .ok_or("slice: missing <app.s> (or --app NAME)")?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let program = tinyvm::assemble(&src)?;
-    let seeds = if pcs.is_empty() {
-        default_slice_seeds(&program)
-    } else {
-        pcs
-    };
-    let report = if seeds.is_empty() {
-        sentomist::staticlint::SliceReport {
-            seeds,
-            instructions: Vec::new(),
-            cross_edges: Vec::new(),
-            stats: sentomist::staticlint::SliceStats {
-                instructions: program.len(),
-                sliced: 0,
-                cross_edges: 0,
-            },
+        Some(name) => bundled_slice_report(name, flags.has("fixed"), &pcs)?,
+        None => {
+            let path = flags
+                .positional()
+                .first()
+                .ok_or("slice: missing <app.s> (or --app NAME)")?;
+            slice_report_for(&assemble_file(path)?, &pcs)?
         }
-    } else {
-        sentomist::staticlint::slice_report(&program, &seeds)?
     };
     if json {
         let mut doc = serde_json::to_string_pretty(&report)?;
@@ -671,30 +582,17 @@ fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags(
-        "localize",
-        &flags,
-        &["irq", "rank", "min-z", "causal", "detector", "nu"],
-    )?;
+    let flags = parse_args("localize", "irq= rank= min-z= detector= nu= causal", args)?;
+    let pos = flags.positional();
     let trace_path = pos.first().ok_or("localize: missing <trace.json>")?;
     let app_path = pos.get(1).ok_or("localize: missing <app.s>")?;
-    let irq = flag_u64(&flags, "irq", 0)? as u8;
-    let rank = flag_u64(&flags, "rank", 1)?.max(1) as usize;
-    let min_z = flag_f64(&flags, "min-z", 1.0)?;
+    let irq = flags.u64("irq", 0)? as u8;
+    let rank = flags.u64("rank", 1)?.max(1) as usize;
+    let min_z = flags.f64("min-z", 1.0)?;
     let trace = load_trace(trace_path)?;
-    let src = std::fs::read_to_string(app_path)?;
-    let program = tinyvm::assemble(&src)?;
-    if program.len() != trace.program_len {
-        return Err(format!(
-            "program has {} instructions but the trace was recorded for {}",
-            program.len(),
-            trace.program_len
-        )
-        .into());
-    }
+    let program = assemble_for(app_path, &trace)?;
     let samples = harvest_set(&trace, irq, |seq, _| SampleIndex::Seq(seq))?;
-    let report = Pipeline::new(detector_from(&flags)?).rank_set(samples.clone())?;
+    let report = detector(&flags)?.pipeline().rank_set(samples.clone())?;
     let target = report
         .ranking
         .get(rank - 1)
@@ -705,7 +603,7 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
         .position(|m| m.index == target.index)
         .ok_or("ranked sample missing from the harvested set")?;
     let hits = localize_set(&samples, flagged, &program, min_z);
-    let chain = if flags.contains_key("causal") {
+    let chain = if flags.has("causal") {
         let lint = sentomist::staticlint::lint(&program);
         let interval = samples.meta[flagged].interval;
         let seeds: Vec<u16> = hits.iter().map(|h| h.pc).collect();
@@ -741,29 +639,19 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
             hit.source_line.unwrap_or(0),
         );
     }
-    if flags.contains_key("causal") {
-        outln!();
-        match &chain {
-            Some(c) => print_chain(c),
-            None => outln!(
-                "no causal chain: no warning-anchored cross-context edge \
-                 carried state into this interval"
-            ),
-        }
+    if flags.has("causal") {
+        print_causal(chain.as_ref());
     }
     Ok(())
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, _) = parse_flags(args);
+    let flags = parse_args("profile", "", args)?;
+    let pos = flags.positional();
     let trace_path = pos.first().ok_or("profile: missing <trace.json>")?;
     let app_path = pos.get(1).ok_or("profile: missing <app.s>")?;
     let trace = load_trace(trace_path)?;
-    let src = std::fs::read_to_string(app_path)?;
-    let program = tinyvm::assemble(&src)?;
-    if program.len() != trace.program_len {
-        return Err("program/trace instruction counts disagree".into());
-    }
+    let program = assemble_for(app_path, &trace)?;
     let profile = sentomist::trace::Profile::of_trace(&trace, &program);
     out!("{}", profile.table());
     Ok(())
@@ -771,9 +659,9 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
     use sentomist::apps::{run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config};
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("case", &flags, &[])?;
-    let which = pos
+    let flags = parse_args("case", "", args)?;
+    let which = flags
+        .positional()
         .first()
         .map(String::as_str)
         .ok_or("case: missing <1|2|3>")?;
@@ -794,18 +682,6 @@ fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 type SupervisedJob = Box<dyn Fn(&RunContext) -> Result<RunOutcome, RunFailure> + Send + Sync>;
 
-/// Resolves the campaign mode from command-line flags. The mode logic
-/// itself lives in `apps::jobs` so the mining daemon resolves the exact
-/// same modes.
-fn campaign_mode(flags: &HashMap<String, String>) -> Result<Mode, Box<dyn Error>> {
-    Ok(Mode::resolve(
-        flags.get("case").map(String::as_str),
-        flag_u64(flags, "period", 20)? as u32,
-        flag_u64(flags, "seconds", 10)?,
-        flag_f64(flags, "nu", 0.05)?,
-    )?)
-}
-
 fn print_outcome(o: &RunOutcome) {
     let verdict = match o.verdict {
         Verdict::Triggered => "triggered",
@@ -824,7 +700,7 @@ fn print_outcome(o: &RunOutcome) {
     );
 }
 
-fn print_campaign_table(result: &CampaignResult) {
+fn print_outcome_header() {
     outln!(
         "{:>6} {:>8} {:>9} {:>10} {:>10} {:>17}",
         "seed",
@@ -834,6 +710,10 @@ fn print_campaign_table(result: &CampaignResult) {
         "best rank",
         "trace digest"
     );
+}
+
+fn print_campaign_table(result: &CampaignResult) {
+    print_outcome_header();
     for o in &result.outcomes {
         print_outcome(o);
     }
@@ -883,47 +763,29 @@ fn print_campaign_table(result: &CampaignResult) {
     }
 }
 
+const CAMPAIGN_FLAGS: &str =
+    "case= seeds= base-seed= threads= period= seconds= nu= store= writers= \
+    max-retries= backoff-ms= timeout-ms= timeout-cycles= chaos= chaos-rate= \
+    stop-after= seed= json progress resume strict replay";
+
 fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
     use sentomist::core::campaign::replay;
-    let (_, flags) = parse_flags(args);
-    reject_unknown_flags(
-        "campaign",
-        &flags,
-        &[
-            "case",
-            "seeds",
-            "base-seed",
-            "threads",
-            "period",
-            "seconds",
-            "nu",
-            "json",
-            "progress",
-            "store",
-            "writers",
-            "resume",
-            "strict",
-            "max-retries",
-            "backoff-ms",
-            "timeout-ms",
-            "timeout-cycles",
-            "chaos",
-            "chaos-rate",
-            "stop-after",
-            "replay",
-            "seed",
-        ],
+    let flags = parse_args("campaign", CAMPAIGN_FLAGS, args)?;
+    let json = flags.has("json");
+    // The mode logic lives in `apps::jobs`, so the mining daemon resolves
+    // the exact same modes.
+    let mode = Mode::resolve(
+        flags.get("case"),
+        flags.u64("period", 20)? as u32,
+        flags.u64("seconds", 10)?,
+        flags.f64("nu", 0.05)?,
     )?;
-    let json = flags.contains_key("json");
-    let mode = campaign_mode(&flags)?;
     let mut config = mode.config_entries();
 
-    if flags.contains_key("replay") {
+    if flags.has("replay") {
         let seed = flags
-            .get("seed")
-            .ok_or("campaign --replay needs --seed S")?
-            .parse::<u64>()
-            .map_err(|_| "--seed wants a number")?;
+            .opt_u64("seed")?
+            .ok_or("campaign --replay needs --seed S")?;
         let outcome = replay(seed, mode.job()?).map_err(|e| format!("seed {seed}: {e}"))?;
         if json {
             let doc = Value::Map(vec![
@@ -935,15 +797,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
             ]);
             outln!("{}", serde_json::to_string_pretty(&doc)?);
         } else {
-            outln!(
-                "{:>6} {:>8} {:>9} {:>10} {:>10} {:>17}",
-                "seed",
-                "samples",
-                "symptoms",
-                "verdict",
-                "best rank",
-                "trace digest"
-            );
+            print_outcome_header();
             print_outcome(&outcome);
             outln!(
                 "\nreplayed in {} ms; the trace digest above must equal the \
@@ -954,9 +808,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
 
-    let n_seeds = flag_u64(&flags, "seeds", 16)?;
-    let base_seed = flag_u64(&flags, "base-seed", 1000)?;
-    let threads = flag_u64(&flags, "threads", 1)?.max(1) as usize;
+    let n_seeds = flags.u64("seeds", 16)?;
+    let base_seed = flags.u64("base-seed", 1000)?;
+    let threads = flags.u64("threads", 1)?.max(1) as usize;
     let seeds: Vec<u64> = (0..n_seeds).map(|i| base_seed + i).collect();
     config.push(("seeds".to_string(), Serialize::to_value(&n_seeds)));
     config.push(("base_seed".to_string(), Serialize::to_value(&base_seed)));
@@ -964,26 +818,25 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
     // Supervision knobs. Deliberately excluded from the config block:
     // like --threads, they must never influence the serialized document
     // of the runs that succeed.
-    let strict = flags.contains_key("strict");
-    let resume = flags.contains_key("resume");
+    let strict = flags.has("strict");
+    let resume = flags.has("resume");
     // Like --threads, --writers is a topology knob: it decides which
     // shard a run lands in, never what the run contains, so the merged
     // index and the re-mined document are byte-identical for every W.
-    let writers = flag_u64(&flags, "writers", 1)?.max(1);
+    let writers = flags.u64("writers", 1)?.max(1);
     let sup = SupervisorOptions {
         threads,
-        progress: flags.contains_key("progress"),
-        max_retries: flag_u64(&flags, "max-retries", 0)? as u32,
-        timeout: flag_opt_u64(&flags, "timeout-ms")?.map(std::time::Duration::from_millis),
-        cycle_budget: flag_opt_u64(&flags, "timeout-cycles")?,
-        backoff_base_ms: flag_u64(&flags, "backoff-ms", 25)?,
-        stop_after: flag_opt_u64(&flags, "stop-after")?.map(|k| k as usize),
+        progress: flags.has("progress"),
+        max_retries: flags.u64("max-retries", 0)? as u32,
+        timeout: flags
+            .opt_u64("timeout-ms")?
+            .map(std::time::Duration::from_millis),
+        cycle_budget: flags.opt_u64("timeout-cycles")?,
+        backoff_base_ms: flags.u64("backoff-ms", 25)?,
+        stop_after: flags.opt_u64("stop-after")?.map(|k| k as usize),
     };
-    let chaos = match flag_opt_u64(&flags, "chaos")? {
-        Some(seed) => Some(ChaosConfig::uniform(
-            seed,
-            flag_f64(&flags, "chaos-rate", 0.1)?,
-        )),
+    let chaos = match flags.opt_u64("chaos")? {
+        Some(seed) => Some(ChaosConfig::uniform(seed, flags.f64("chaos-rate", 0.1)?)),
         None => None,
     };
 
@@ -1159,6 +1012,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+const HUNT_FLAGS: &str = "case= iterations= campaign-seed= threads= top-k= out= store= \
+    max-retries= timeout-ms= seed= fixed json progress strict replay";
+
 fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
     use sentomist::apps::{
         emulate_scenario, hunt_iteration, mine_scenario, mined_matches, scenario,
@@ -1171,38 +1027,17 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
     use std::path::PathBuf;
     use std::sync::Arc;
 
-    let (_, flags) = parse_flags(args);
-    reject_unknown_flags(
-        "hunt",
-        &flags,
-        &[
-            "case",
-            "fixed",
-            "iterations",
-            "campaign-seed",
-            "threads",
-            "top-k",
-            "out",
-            "store",
-            "json",
-            "progress",
-            "strict",
-            "max-retries",
-            "timeout-ms",
-            "replay",
-            "seed",
-        ],
-    )?;
-    let json = flags.contains_key("json");
-    let variant = if flags.contains_key("fixed") {
+    let flags = parse_args("hunt", HUNT_FLAGS, args)?;
+    let json = flags.has("json");
+    let variant = if flags.has("fixed") {
         Variant::Fixed
     } else {
         Variant::Buggy
     };
     let policy = InvariantPolicy {
-        top_k: flag_u64(&flags, "top-k", 3)? as usize,
+        top_k: flags.u64("top-k", 3)? as usize,
     };
-    let cases: Vec<HuntCase> = match flags.get("case").map(String::as_str).unwrap_or("all") {
+    let cases: Vec<HuntCase> = match flags.get("case").unwrap_or("all") {
         "all" | "" => HuntCase::ALL.to_vec(),
         v => vec![v
             .parse::<u64>()
@@ -1211,12 +1046,10 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
             .ok_or_else(|| format!("--case wants 1, 2, 3 or all, got `{v}`"))?],
     };
 
-    if flags.contains_key("replay") {
+    if flags.has("replay") {
         let seed = flags
-            .get("seed")
-            .ok_or("hunt --replay needs --seed S")?
-            .parse::<u64>()
-            .map_err(|_| "--seed wants a number")?;
+            .opt_u64("seed")?
+            .ok_or("hunt --replay needs --seed S")?;
         let &[case] = cases.as_slice() else {
             return Err("hunt --replay needs a single --case (1, 2 or 3)".into());
         };
@@ -1254,19 +1087,21 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
 
-    let iterations = flag_u64(&flags, "iterations", 25)?;
-    let campaign_seed = flag_u64(&flags, "campaign-seed", 0xBEEF)?;
-    let threads = flag_u64(&flags, "threads", 1)?.max(1) as usize;
-    let strict = flags.contains_key("strict");
-    let progress = flags.contains_key("progress");
-    let out_dir = PathBuf::from(match flags.get("out").map(String::as_str) {
+    let iterations = flags.u64("iterations", 25)?;
+    let campaign_seed = flags.u64("campaign-seed", 0xBEEF)?;
+    let threads = flags.u64("threads", 1)?.max(1) as usize;
+    let strict = flags.has("strict");
+    let progress = flags.has("progress");
+    let out_dir = PathBuf::from(match flags.get("out") {
         Some("") | None => ".",
         Some(dir) => dir,
     });
     let sup = SupervisorOptions {
         threads,
-        max_retries: flag_u64(&flags, "max-retries", 0)? as u32,
-        timeout: flag_opt_u64(&flags, "timeout-ms")?.map(std::time::Duration::from_millis),
+        max_retries: flags.u64("max-retries", 0)? as u32,
+        timeout: flags
+            .opt_u64("timeout-ms")?
+            .map(std::time::Duration::from_millis),
         ..SupervisorOptions::default()
     };
     // Scenario seeds are a pure function of (campaign seed, iteration);
@@ -1457,17 +1292,13 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_fsck(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace fsck", &flags, &["repair"])?;
-    // `trace fsck --repair <dir>` parses the dir as the flag's value;
-    // accept it from either position.
-    let root = pos
+    let flags = parse_args("trace fsck", "repair", args)?;
+    let root = flags
+        .positional()
         .first()
-        .cloned()
-        .or_else(|| flags.get("repair").filter(|s| !s.is_empty()).cloned())
         .ok_or("trace fsck: missing <store-dir>")?;
-    let repair = flags.contains_key("repair");
-    let store = TraceStore::open(&root)?;
+    let repair = flags.has("repair");
+    let store = TraceStore::open(root)?;
     let report = store.fsck(repair)?;
     if report.is_clean() {
         outln!("{root}: clean — no pending log entries, temp files or damaged runs");
@@ -1507,9 +1338,11 @@ fn cmd_trace_fsck(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_merge(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace merge", &flags, &[])?;
-    let root = pos.first().ok_or("trace merge: missing <store-dir>")?;
+    let flags = parse_args("trace merge", "", args)?;
+    let root = flags
+        .positional()
+        .first()
+        .ok_or("trace merge: missing <store-dir>")?;
     let store = TraceStore::open(root)?;
     let shards = store.shard_ids()?;
     if shards.is_empty() {
@@ -1539,9 +1372,9 @@ fn cmd_trace_quarantine(args: &[String]) -> Result<(), Box<dyn Error>> {
         .ok_or_else(|| usage_error("trace quarantine: missing subcommand (ls)".into()))?;
     match sub {
         "ls" => {
-            let (pos, flags) = parse_flags(&args[1..]);
-            reject_unknown_flags("trace quarantine ls", &flags, &[])?;
-            let root = pos
+            let flags = parse_args("trace quarantine ls", "", &args[1..])?;
+            let root = flags
+                .positional()
                 .first()
                 .ok_or("trace quarantine ls: missing <store-dir>")?;
             let store = TraceStore::open(root)?;
@@ -1568,28 +1401,22 @@ fn cmd_trace_quarantine(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_record(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace record", &flags, &["cycles", "seed", "out"])?;
-    let path = pos.first().ok_or("trace record: missing <app.s>")?;
-    let cycles = flag_u64(&flags, "cycles", 10_000_000)?;
-    let seed = flag_u64(&flags, "seed", 42)?;
+    let flags = parse_args("trace record", "cycles= seed= out=", args)?;
+    let path = flags
+        .positional()
+        .first()
+        .ok_or("trace record: missing <app.s>")?;
+    let cycles = flags.u64("cycles", 10_000_000)?;
+    let seed = flags.u64("seed", 42)?;
     let out = flags
         .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("{path}.stc"));
-    let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let program = std::sync::Arc::new(tinyvm::assemble(&src)?);
-    let mut node = Node::new(
-        program.clone(),
-        NodeConfig {
-            seed,
-            ..NodeConfig::default()
-        },
-    );
+        .map_or_else(|| format!("{path}.stc"), str::to_string);
+    let mut node = boot(path, seed)?;
+    let program_len = node.program().len();
     // Tee the lifecycle stream: the writer encodes chunks to disk as the
     // VM emits items, the recorder keeps the trace for the digest line.
-    let mut recorder = Recorder::new(program.len());
-    let mut writer = TraceWriter::create(Path::new(&out), program.len())?;
+    let mut recorder = Recorder::new(program_len);
+    let mut writer = TraceWriter::create(Path::new(&out), program_len)?;
     node.run(cycles, &mut tinyvm::Tee(&mut recorder, &mut writer))?;
     let stats = writer.finish()?;
     let trace = recorder.try_into_trace()?;
@@ -1611,9 +1438,11 @@ fn cmd_trace_record(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_ls(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace ls", &flags, &[])?;
-    let root = pos.first().ok_or("trace ls: missing <store-dir>")?;
+    let flags = parse_args("trace ls", "", args)?;
+    let root = flags
+        .positional()
+        .first()
+        .ok_or("trace ls: missing <store-dir>")?;
     let store = TraceStore::open(root)?;
     if let Some(c) = store.campaign()? {
         outln!(
@@ -1746,17 +1575,13 @@ fn stc_file_salvage(path: &Path) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_info(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace info", &flags, &["salvage"])?;
-    // `trace info --salvage <path>` parses the path as the flag's value;
-    // accept it from either position.
-    let target = pos
+    let flags = parse_args("trace info", "salvage", args)?;
+    let target = flags
+        .positional()
         .first()
-        .cloned()
-        .or_else(|| flags.get("salvage").filter(|s| !s.is_empty()).cloned())
         .ok_or("trace info: missing <file.stc | store-dir>")?;
-    let path = Path::new(&target);
-    if flags.contains_key("salvage") {
+    let path = Path::new(target);
+    if flags.has("salvage") {
         if path.is_dir() {
             return Err("trace info --salvage works on a single .stc file".into());
         }
@@ -1802,23 +1627,14 @@ fn cmd_trace_info(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags(
-        "trace mine",
-        &flags,
-        &["threads", "json", "progress", "quarantine"],
-    )?;
-    // `trace mine --quarantine <dir>` parses the dir as the flag's
-    // value; accept it from either position.
-    let root = pos
+    let flags = parse_args("trace mine", "threads= json progress quarantine", args)?;
+    let root = flags
+        .positional()
         .first()
-        .cloned()
-        .or_else(|| flags.get("quarantine").filter(|s| !s.is_empty()).cloned())
         .ok_or("trace mine: missing <store-dir>")?;
-    let root = root.as_str();
-    let json = flags.contains_key("json");
+    let json = flags.has("json");
     let store = TraceStore::open(root)?;
-    let threads = flag_u64(&flags, "threads", 1)?.max(1) as usize;
+    let threads = flags.u64("threads", 1)?.max(1) as usize;
     let started = std::time::Instant::now();
     // The whole re-mine vertical is `apps::jobs::mine_corpus` — the
     // same call the mining daemon answers Mine requests with, so this
@@ -1827,8 +1643,8 @@ fn cmd_trace_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         &store,
         &CorpusMineOptions {
             threads,
-            progress: flags.contains_key("progress"),
-            quarantine: flags.contains_key("quarantine"),
+            progress: flags.has("progress"),
+            quarantine: flags.has("quarantine"),
         },
     )?;
     let elapsed = started.elapsed();

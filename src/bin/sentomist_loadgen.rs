@@ -28,12 +28,12 @@
 //!   report and on stderr.
 
 use sentomist::core::supervise::splitmix64;
+use sentomist::flags::Flags;
 use sentomist::service::{
     request_with_retry, ChaosProxy, Client, ClientConfig, ClientError, FaultPlan, ProxyStats,
     Request, Response, RetryPolicy, RetryStats, WireFailure,
 };
 use serde::Serialize;
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -91,53 +91,20 @@ The failure class is also printed to stderr as `failure class: ...`.
 Ramp mode exits 0 and records sheds/errors/retries in the report."
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument `{arg}`"));
-        };
-        let value = match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => {
-                i += 1;
-                v.clone()
-            }
-            _ => String::new(),
-        };
-        flags.insert(name.to_string(), value);
-        i += 1;
-    }
-    Ok(flags)
-}
-
-fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-    }
-}
-
-fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-    }
-}
+const FLAGS: &str = "addr= job= ms= store= app= case= top-k= period= seconds= nu= out= \
+    initial-rps= increment-rps= target-rps= duration-per-step= seed= \
+    bench-out= connect-timeout-ms= read-timeout-ms= write-timeout-ms= \
+    retries= retry-backoff-ms= chaos= chaos-rate= quarantine fixed once \
+    shutdown help";
 
 /// Builds the request for one ramp slot (or the single shot). `seed`
 /// varies per slot so seeded jobs exercise distinct, reproducible work.
-fn build_request(flags: &HashMap<String, String>, seed: u64) -> Result<Request, String> {
-    let job = flags.get("job").map(String::as_str).unwrap_or("ping");
+fn build_request(flags: &Flags, seed: u64) -> Result<Request, String> {
+    let job = flags.get("job").unwrap_or("ping");
     Ok(match job {
         "ping" => Request::Ping,
         "sleep" => Request::Sleep {
-            ms: flag_u64(flags, "ms", 10)?,
+            ms: flags.u64("ms", 10)?,
         },
         "panic" => Request::Panic,
         "stats" => Request::Stats,
@@ -146,28 +113,28 @@ fn build_request(flags: &HashMap<String, String>, seed: u64) -> Result<Request, 
                 .get("store")
                 .filter(|s| !s.is_empty())
                 .ok_or("--job mine needs --store PATH")?
-                .clone(),
-            quarantine: flags.contains_key("quarantine"),
+                .to_string(),
+            quarantine: flags.has("quarantine"),
         },
         "lint" => Request::Lint {
             app: flags
                 .get("app")
                 .filter(|s| !s.is_empty())
                 .ok_or("--job lint needs --app NAME")?
-                .clone(),
-            fixed: flags.contains_key("fixed"),
+                .to_string(),
+            fixed: flags.has("fixed"),
         },
         "hunt" => Request::Hunt {
-            case: flag_u64(flags, "case", 1)?,
-            fixed: flags.contains_key("fixed"),
+            case: flags.u64("case", 1)?,
+            fixed: flags.has("fixed"),
             seed,
-            top_k: flag_u64(flags, "top-k", 3)?,
+            top_k: flags.u64("top-k", 3)?,
         },
         "emulate" => Request::Emulate {
-            case: flags.get("case").cloned().unwrap_or_default(),
-            period: flag_u64(flags, "period", 20)? as u32,
-            seconds: flag_u64(flags, "seconds", 2)?,
-            nu: flag_f64(flags, "nu", 0.05)?,
+            case: flags.get("case").unwrap_or_default().to_string(),
+            period: flags.u64("period", 20)? as u32,
+            seconds: flags.u64("seconds", 2)?,
+            nu: flags.f64("nu", 0.05)?,
             seed,
         },
         other => return Err(format!("unknown --job `{other}`")),
@@ -187,18 +154,12 @@ struct WirePlan {
 }
 
 impl WirePlan {
-    fn from_flags(addr: &str, flags: &HashMap<String, String>) -> Result<WirePlan, String> {
-        let chaos_seed = match flags.get("chaos") {
-            None => None,
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("--chaos wants a seed, got `{v}`"))?,
-            ),
-        };
-        let chaos_rate = flag_f64(flags, "chaos-rate", 0.25)?;
-        let connect_ms = flag_u64(flags, "connect-timeout-ms", 2_000)?;
-        let read_ms = flag_u64(flags, "read-timeout-ms", 30_000)?;
-        let write_ms = flag_u64(flags, "write-timeout-ms", 10_000)?;
+    fn from_flags(addr: &str, flags: &Flags) -> Result<WirePlan, String> {
+        let chaos_seed = flags.opt_u64("chaos")?;
+        let chaos_rate = flags.f64("chaos-rate", 0.25)?;
+        let connect_ms = flags.u64("connect-timeout-ms", 2_000)?;
+        let read_ms = flags.u64("read-timeout-ms", 30_000)?;
+        let write_ms = flags.u64("write-timeout-ms", 10_000)?;
         let client = ClientConfig {
             connect_timeout: (connect_ms > 0).then(|| Duration::from_millis(connect_ms)),
             read_timeout: (read_ms > 0).then(|| Duration::from_millis(read_ms)),
@@ -208,9 +169,9 @@ impl WirePlan {
         // not the exception; give the retry loop room by default.
         let default_retries = if chaos_seed.is_some() { 8 } else { 0 };
         let policy = RetryPolicy {
-            max_retries: flag_u64(flags, "retries", default_retries)? as u32,
-            backoff_base_ms: flag_u64(flags, "retry-backoff-ms", 10)?,
-            seed: flag_u64(flags, "seed", 42)?,
+            max_retries: flags.u64("retries", default_retries)? as u32,
+            backoff_base_ms: flags.u64("retry-backoff-ms", 10)?,
+            seed: flags.u64("seed", 42)?,
         };
         let (addr, proxy) = match chaos_seed {
             None => (addr.to_string(), None),
@@ -377,14 +338,14 @@ fn fire(
     (outcome, latency_ms, stats)
 }
 
-fn run_ramp(wire: WirePlan, flags: &HashMap<String, String>) -> Result<(), String> {
+fn run_ramp(wire: WirePlan, flags: &Flags) -> Result<(), String> {
     let config = BenchConfig {
-        job: flags.get("job").cloned().unwrap_or_else(|| "ping".into()),
-        initial_rps: flag_u64(flags, "initial-rps", 2)?.max(1),
-        increment_rps: flag_u64(flags, "increment-rps", 2)?.max(1),
-        target_rps: flag_u64(flags, "target-rps", 10)?,
-        duration_per_step_s: flag_u64(flags, "duration-per-step", 2)?.max(1),
-        seed: flag_u64(flags, "seed", 42)?,
+        job: flags.get("job").unwrap_or("ping").to_string(),
+        initial_rps: flags.u64("initial-rps", 2)?.max(1),
+        increment_rps: flags.u64("increment-rps", 2)?.max(1),
+        target_rps: flags.u64("target-rps", 10)?,
+        duration_per_step_s: flags.u64("duration-per-step", 2)?.max(1),
+        seed: flags.u64("seed", 42)?,
     };
     let mut wire_report = WireReport {
         chaos: wire.chaos_seed.is_some(),
@@ -507,9 +468,8 @@ fn run_ramp(wire: WirePlan, flags: &HashMap<String, String>) -> Result<(), Strin
     let out = flags
         .get("bench-out")
         .filter(|s| !s.is_empty())
-        .cloned()
-        .unwrap_or_else(|| "BENCH_service.json".into());
-    std::fs::write(&out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
+        .unwrap_or("BENCH_service.json");
+    std::fs::write(out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("wrote {out} (max sustainable rps: {max_sustainable_rps})");
     Ok(())
 }
@@ -542,8 +502,8 @@ fn classify_failure(error: &ClientError) -> u8 {
     }
 }
 
-fn run_once(wire: &WirePlan, flags: &HashMap<String, String>) -> Result<u8, String> {
-    let request = build_request(flags, flag_u64(flags, "seed", 42)?)?;
+fn run_once(wire: &WirePlan, flags: &Flags) -> Result<u8, String> {
+    let request = build_request(flags, flags.u64("seed", 42)?)?;
     let code = match request_with_retry(wire.addr.as_str(), &request, &wire.client, &wire.policy) {
         Ok((Response::Ok(payload), stats)) => {
             if stats.retries > 0 {
@@ -581,22 +541,24 @@ fn run_once(wire: &WirePlan, flags: &HashMap<String, String>) -> Result<u8, Stri
 }
 
 fn run(args: &[String]) -> Result<u8, String> {
-    let flags = parse_flags(args)?;
-    if flags.contains_key("help") {
+    let flags = Flags::parse(FLAGS, args)?;
+    if let Some(arg) = flags.positional().first() {
+        return Err(format!("unexpected positional argument `{arg}`"));
+    }
+    if flags.has("help") {
         println!("{}", usage());
         return Ok(0);
     }
     let addr = flags
         .get("addr")
         .filter(|s| !s.is_empty())
-        .ok_or("missing --addr HOST:PORT")?
-        .clone();
-    let wire = WirePlan::from_flags(&addr, &flags)?;
-    if flags.contains_key("shutdown") {
+        .ok_or("missing --addr HOST:PORT")?;
+    let wire = WirePlan::from_flags(addr, &flags)?;
+    if flags.has("shutdown") {
         // Shutdown is deliberately outside the retry machinery: it is
         // never safe to replay, and it bypasses any chaos proxy so a
         // soak can always stop its daemon deterministically.
-        let code = match Client::connect_with(addr.as_str(), wire.client) {
+        let code = match Client::connect_with(addr, wire.client) {
             Err(e) => {
                 eprintln!("failure class: connect ({e})");
                 2
@@ -616,7 +578,7 @@ fn run(args: &[String]) -> Result<u8, String> {
         wire.finish();
         return Ok(code);
     }
-    if flags.contains_key("once") {
+    if flags.has("once") {
         let code = run_once(&wire, &flags);
         wire.finish();
         code

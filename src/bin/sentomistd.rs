@@ -5,8 +5,8 @@
 //! mine / lint / hunt jobs until a client sends a `Shutdown` frame.
 //! Exit code 0 is the clean-shutdown contract the CI smoke job asserts.
 
+use sentomist::flags::Flags;
 use sentomist::service::{Server, ServiceConfig};
-use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -44,61 +44,35 @@ exiting 0. At shutdown it prints a thread-accounting line to stderr
 (`... 0 leaked`) — the no-thread-leak proof the chaos soak greps."
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument `{arg}`"));
-        };
-        let value = match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => {
-                i += 1;
-                v.clone()
-            }
-            _ => String::new(),
-        };
-        flags.insert(name.to_string(), value);
-        i += 1;
-    }
-    Ok(flags)
-}
-
-fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-    }
-}
+const FLAGS: &str = "host= port= workers= queue-capacity= cache-capacity= retries= \
+    timeout-ms= mine-threads= read-timeout-ms= write-timeout-ms= \
+    max-connections= help";
 
 fn run(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if flags.contains_key("help") {
+    let flags = Flags::parse(FLAGS, args)?;
+    if let Some(arg) = flags.positional().first() {
+        return Err(format!("unexpected positional argument `{arg}`"));
+    }
+    if flags.has("help") {
         println!("{}", usage());
         return Ok(());
     }
-    let host = flags
-        .get("host")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1".into());
-    let port = flag_u64(&flags, "port", 7344)?;
-    let timeout_ms = flag_u64(&flags, "timeout-ms", 0)?;
-    let read_timeout_ms = flag_u64(&flags, "read-timeout-ms", 30_000)?;
-    let write_timeout_ms = flag_u64(&flags, "write-timeout-ms", 10_000)?;
+    let host = flags.get("host").unwrap_or("127.0.0.1");
+    let port = flags.u64("port", 7344)?;
+    let timeout_ms = flags.u64("timeout-ms", 0)?;
+    let read_timeout_ms = flags.u64("read-timeout-ms", 30_000)?;
+    let write_timeout_ms = flags.u64("write-timeout-ms", 10_000)?;
     let config = ServiceConfig {
         addr: format!("{host}:{port}"),
-        workers: flag_u64(&flags, "workers", 2)? as usize,
-        queue_capacity: flag_u64(&flags, "queue-capacity", 64)? as usize,
-        cache_capacity: flag_u64(&flags, "cache-capacity", 16)? as usize,
-        max_retries: flag_u64(&flags, "retries", 0)? as u32,
+        workers: flags.u64("workers", 2)? as usize,
+        queue_capacity: flags.u64("queue-capacity", 64)? as usize,
+        cache_capacity: flags.u64("cache-capacity", 16)? as usize,
+        max_retries: flags.u64("retries", 0)? as u32,
         timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-        mine_threads: flag_u64(&flags, "mine-threads", 1)? as usize,
+        mine_threads: flags.u64("mine-threads", 1)? as usize,
         read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
         write_timeout: (write_timeout_ms > 0).then(|| Duration::from_millis(write_timeout_ms)),
-        max_connections: flag_u64(&flags, "max-connections", 256)? as usize,
+        max_connections: flags.u64("max-connections", 256)? as usize,
     };
     let server = Server::start(config).map_err(|e| e.to_string())?;
     println!("listening on {}", server.local_addr());

@@ -36,6 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flags;
+
 pub use mlcore;
 pub use netsim;
 pub use staticlint;

@@ -8,7 +8,7 @@
 //!    same job reproduces the original outcome exactly, down to the
 //!    trace digest (which fingerprints the full recorded execution).
 
-use sentomist::apps::experiments::trigger_job;
+use sentomist::apps::Mode;
 use sentomist::core::campaign::{
     replay, run_campaign, summarize, CampaignOptions, CampaignResult, Verdict,
 };
@@ -17,7 +17,13 @@ use serde::Serialize;
 /// 2-second runs at the race-friendliest period keep the sweep quick
 /// while still triggering the bug in a healthy fraction of seeds.
 fn sweep(threads: usize) -> CampaignResult {
-    let job = trigger_job(20, 2, 0.05).expect("oscilloscope assembles");
+    let job = Mode::Trigger {
+        period: 20,
+        seconds: 2,
+        nu: 0.05,
+    }
+    .job()
+    .expect("oscilloscope assembles");
     let seeds: Vec<u64> = (1000..1016).collect();
     run_campaign(
         &seeds,
@@ -96,7 +102,13 @@ fn replaying_a_flagged_seed_reproduces_outcome_and_digest() {
 
     // A fresh job (fresh program assembly, fresh pipeline) — only the
     // seed carries over, exactly the reproduce-by-seed workflow.
-    let job = trigger_job(20, 2, 0.05).expect("oscilloscope assembles");
+    let job = Mode::Trigger {
+        period: 20,
+        seconds: 2,
+        nu: 0.05,
+    }
+    .job()
+    .expect("oscilloscope assembles");
     let replayed = replay(flagged.seed, job).expect("replay completes");
 
     assert!(

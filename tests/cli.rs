@@ -3,7 +3,7 @@
 
 mod support;
 
-use support::{cli, workdir};
+use support::{cli, run_ok, workdir};
 
 const APP: &str = "\
 .handler TIMER0 on_timer
@@ -224,6 +224,8 @@ fn unknown_flags_are_rejected_with_usage() {
         vec!["trace", "info", "--bogus"],
         vec!["trace", "merge", "--bogus"],
         vec!["trace", "quarantine", "ls", "--bogus"],
+        vec!["assemble", "x.s", "--bogus"],
+        vec!["profile", "x.trace.json", "x.s", "--bogus"],
     ] {
         let out = cli().args(&args).output().unwrap();
         assert!(
@@ -399,6 +401,67 @@ fn causal_flags_work_end_to_end() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("causal chain"), "stdout: {text}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A switch never consumes the argument after it: `trace mine --json DIR`
+/// reads DIR as the store, exactly like `trace mine DIR --json`.
+#[test]
+fn switches_never_swallow_the_next_argument() {
+    let dir = workdir("cli-switch-order");
+    let store = dir.join("corpus");
+    run_ok(
+        cli()
+            .args(["campaign", "--seeds", "2", "--seconds", "2", "--store"])
+            .arg(&store),
+    );
+    let (flag_last, _) = run_ok(cli().args(["trace", "mine"]).arg(&store).arg("--json"));
+    let (flag_first, _) = run_ok(cli().args(["trace", "mine", "--json"]).arg(&store));
+    assert!(flag_last.contains("\"outcomes\""), "{flag_last}");
+    assert_eq!(flag_first, flag_last);
+    // A value flag does not take a flag as its value.
+    let out = cli()
+        .args(["trace", "mine", "--threads", "--json"])
+        .arg(&store)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads wants a value"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every detector name the ablation table knows is a valid `--detector`,
+/// the ensemble committee included.
+#[test]
+fn ensemble_detector_is_accepted() {
+    let dir = workdir("cli-ensemble");
+    let app = dir.join("mini.s");
+    let trace = dir.join("mini.trace.json");
+    std::fs::write(&app, APP).unwrap();
+    run_ok(
+        cli()
+            .arg("run")
+            .arg(&app)
+            .args(["--cycles", "2000000", "--trace"])
+            .arg(&trace),
+    );
+    let (table, _) = run_ok(cli().arg("mine").arg(&trace).args([
+        "--irq",
+        "2",
+        "--detector",
+        "ensemble",
+        "--nu",
+        "0.1",
+    ]));
+    assert!(table.contains("ranking with ensemble"), "{table}");
+    assert!(table.contains("Instance Index"), "{table}");
+    let (explained, _) = run_ok(cli().arg("localize").arg(&trace).arg(&app).args([
+        "--irq",
+        "2",
+        "--detector",
+        "ensemble",
+    ]));
+    assert!(explained.contains("deviating instructions"), "{explained}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

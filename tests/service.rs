@@ -87,6 +87,53 @@ impl Drop for Daemon {
 
 /// Records a small sharded corpus and returns the offline
 /// `trace mine --json` document for it.
+/// Runs a service binary that must refuse its arguments: it exits nonzero
+/// within a few seconds (instead of starting) and names the problem.
+fn assert_refuses(binary: &str, args: &[&str], message: &str) {
+    let mut child = Command::new(binary)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning the binary");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`{binary} {}` started instead of refusing", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(!status.success(), "`{}` exited 0", args.join(" "));
+    assert!(stderr.contains(message), "stderr: {stderr}");
+}
+
+#[test]
+fn service_binaries_reject_unknown_flags() {
+    // A typo used to start the daemon silently with the default.
+    assert_refuses(
+        env!("CARGO_BIN_EXE_sentomistd"),
+        &["--wokers", "4", "--port", "0"],
+        "unknown flag `--wokers`",
+    );
+    assert_refuses(
+        env!("CARGO_BIN_EXE_sentomist_loadgen"),
+        &["--addr", "127.0.0.1:1", "--once", "--jbo", "ping"],
+        "unknown flag `--jbo`",
+    );
+    assert_refuses(
+        env!("CARGO_BIN_EXE_sentomistd"),
+        &["--port"],
+        "--port wants a value",
+    );
+}
+
 fn record_corpus(store: &Path, writers: &str) -> String {
     run_ok(cli().args([
         "campaign",
